@@ -447,6 +447,14 @@ func (b *BackEnd) renderAndSend(ctx context.Context, rank int, lf loadedFrame) (
 		default:
 			width, height, depth = float64(rx), float64(ry), float64(rz)
 		}
+		// Ownership rule: from here on heavy (and light) is one shared,
+		// immutable object. The same pointers go to the frame cache, to the
+		// sink — where the fan-out queues them for every attached viewer,
+		// each sender writing the wire straight from heavy.Texture, and an
+		// in-process viewer keeps that very slice as its scene texture — and
+		// to OnSlab. Nobody may write to it again, and because readers can
+		// outlive this frame arbitrarily (a queued viewer, the cache) the
+		// texture is a fresh buffer per slab, never a recycled one.
 		heavy = &wire.HeavyPayload{
 			Frame: lf.frame, PE: rank,
 			TexWidth: img.W, TexHeight: img.H,
@@ -465,7 +473,7 @@ func (b *BackEnd) renderAndSend(ctx context.Context, rank int, lf loadedFrame) (
 			GridSegments: len(grid),
 			HasElevation: elev != nil,
 		}
-		// The payloads hold their own RGBA8 copy; the float image goes back
+		// The payload holds its own RGBA8 texture; the float image goes back
 		// to the free list for the next frame.
 		render.PutImage(img)
 		if key, ok := b.cacheKey(lf.frame, lf.axis); ok {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"visapult/internal/wire"
@@ -47,6 +48,10 @@ type Fanout struct {
 	// guarded by mu
 	maxFrame int
 	closed   bool // guarded by mu
+	// framed is set once any attached viewer has a sink that takes
+	// pre-framed heavy payloads; publish then frames each slab once (outside
+	// mu: the CRC walks the whole texture).
+	framed atomic.Bool
 }
 
 // DefaultViewerQueue bounds a viewer's send queue when no bound is given:
@@ -99,11 +104,24 @@ type fanViewer struct {
 	err      error
 }
 
-// fanItem is one queued (PE, frame) texture pair.
+// fanItem is one queued (PE, frame) texture pair. Every viewer's queue holds
+// the same payload pointers: the pair is published once and is immutable from
+// then on (see renderAndSend), so N senders read one texture concurrently.
 type fanItem struct {
 	pe    int
 	light *wire.LightPayload
 	heavy *wire.HeavyPayload
+	// frame is heavy framed for the wire — header, CRC and texture
+	// reference — built once at publish and shared by every viewer's sender;
+	// nil when no attached viewer takes frames (in-process sinks) or the
+	// payload is malformed, in which case SendHeavy reports it per viewer.
+	frame *wire.HeavyFrame
+}
+
+// framedSink is a FrameSink that can send a heavy payload framed in advance;
+// *wire.Conn is the one that matters.
+type framedSink interface {
+	SendHeavyFrame(*wire.HeavyFrame) error
 }
 
 // sink returns the FrameSink PE rank's payloads go to for this viewer.
@@ -178,6 +196,11 @@ func (f *Fanout) Attach(id string, sinks []FrameSink) error {
 	}
 	f.order++
 	f.viewers[id] = v
+	for _, sink := range sinks {
+		if _, ok := sink.(framedSink); ok {
+			f.framed.Store(true)
+		}
+	}
 	go f.sendLoop(v)
 	return nil
 }
@@ -216,6 +239,10 @@ func (f *Fanout) Detach(id string) error {
 // returns an error — viewer failures are per-viewer state, invisible to the
 // render loop.
 func (f *Fanout) publish(pe int, lp *wire.LightPayload, hp *wire.HeavyPayload) {
+	item := fanItem{pe: pe, light: lp, heavy: hp}
+	if f.framed.Load() {
+		item.frame, _ = wire.FrameHeavy(hp)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -229,7 +256,7 @@ func (f *Fanout) publish(pe int, lp *wire.LightPayload, hp *wire.HeavyPayload) {
 			continue
 		}
 		select {
-		case v.ch <- fanItem{pe: pe, light: lp, heavy: hp}:
+		case v.ch <- item:
 		default:
 			v.dropped++
 		}
@@ -286,7 +313,13 @@ func (f *Fanout) sendItem(v *fanViewer, item fanItem) error {
 	if err := sink.SendLight(item.light); err != nil {
 		return fmt.Errorf("backend: viewer %q PE %d frame %d light: %w", v.id, item.pe, item.light.Frame, err)
 	}
-	if err := sink.SendHeavy(item.heavy); err != nil {
+	var err error
+	if fs, ok := sink.(framedSink); ok && item.frame != nil {
+		err = fs.SendHeavyFrame(item.frame)
+	} else {
+		err = sink.SendHeavy(item.heavy)
+	}
+	if err != nil {
 		return fmt.Errorf("backend: viewer %q PE %d frame %d heavy: %w", v.id, item.pe, item.heavy.Frame, err)
 	}
 	f.mu.Lock()

@@ -23,7 +23,7 @@ type Rasterizer struct {
 	WorldW, WorldH float64
 }
 
-// Render produces an image of the scene.
+// Render produces an image of the scene in a freshly allocated image.
 func (rz Rasterizer) Render(s *Scene) *render.Image {
 	w, h := rz.Width, rz.Height
 	if w <= 0 {
@@ -33,11 +33,52 @@ func (rz Rasterizer) Render(s *Scene) *render.Image {
 		h = 256
 	}
 	out := render.NewImage(w, h)
+	rz.RenderInto(s, out)
+	return out
+}
 
-	// 1. IBR composite of the slab textures, far to near.
+// RenderInto draws the scene into out, which must be transparent black (a
+// new image, or one from render.GetImage); its dimensions are the view size.
+func (rz Rasterizer) RenderInto(s *Scene, out *render.Image) {
+	w, h := out.W, out.H
+
+	// 1. IBR composite of the slab textures, far to near, straight from each
+	// quad's own storage: RGBA8 bytes go through the byte-to-float table, and
+	// a texture of another size is sampled nearest-neighbour in place.
+	// Nothing is converted or resampled into a temporary.
+	var cols []int // source byte offset per output column, for the current quad
 	for _, quad := range s.TextureQuads() {
-		layer := scaleToFit(quad.Image, w, h)
-		out.Over(layer) //nolint:errcheck // scaleToFit guarantees matching dims
+		tex, img := quad.Texture, quad.Image
+		tw, th := quad.TexWidth, quad.TexHeight
+		if tex == nil {
+			if img == nil {
+				continue
+			}
+			tw, th = img.W, img.H
+		}
+		if tw <= 0 || th <= 0 {
+			continue
+		}
+		if tw == w && th == h {
+			if tex != nil {
+				overBytes(out.Pix, tex)
+			} else {
+				out.Over(img) //nolint:errcheck // dimensions match
+			}
+			continue
+		}
+		cols = cols[:0]
+		for x := 0; x < w; x++ {
+			cols = append(cols, (x*tw/w)*4)
+		}
+		for y := 0; y < h; y++ {
+			dst, row := out.Pix[y*w*4:(y+1)*w*4], (y*th/h)*tw*4
+			if tex != nil {
+				overBytesSampled(dst, tex[row:], cols)
+			} else {
+				overFloatsSampled(dst, img.Pix[row:], cols)
+			}
+		}
 	}
 
 	// 2. Vector geometry on top.
@@ -57,7 +98,47 @@ func (rz Rasterizer) Render(s *Scene) *render.Image {
 			drawLine(out, x0, y0, x1, y1, ls.R, ls.G, ls.B, ls.A)
 		}
 	}
-	return out
+}
+
+// unit8 maps an 8-bit channel to its float value: exactly the conversion
+// render.FromRGBA8 applies, so compositing from bytes is bit-identical to
+// converting the texture to a float image first.
+var unit8 = func() (t [256]float32) {
+	for i := range t {
+		t[i] = float32(i) / 255
+	}
+	return
+}()
+
+// overBytes composites RGBA8 source pixels over dst in place.
+func overBytes(dst []float32, src []byte) {
+	src = src[:len(dst)]
+	for i := 0; i+3 < len(dst); i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = render.OverPixel(
+			unit8[src[i]], unit8[src[i+1]], unit8[src[i+2]], unit8[src[i+3]],
+			dst[i], dst[i+1], dst[i+2], dst[i+3])
+	}
+}
+
+// overBytesSampled composites one output row from a source row of another
+// width: output pixel x takes the source pixel at byte offset cols[x].
+func overBytesSampled(dst []float32, row []byte, cols []int) {
+	for x, c := range cols {
+		i := x * 4
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = render.OverPixel(
+			unit8[row[c]], unit8[row[c+1]], unit8[row[c+2]], unit8[row[c+3]],
+			dst[i], dst[i+1], dst[i+2], dst[i+3])
+	}
+}
+
+// overFloatsSampled is overBytesSampled for a quad holding a float image.
+func overFloatsSampled(dst, row []float32, cols []int) {
+	for x, c := range cols {
+		i := x * 4
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = render.OverPixel(
+			row[c], row[c+1], row[c+2], row[c+3],
+			dst[i], dst[i+1], dst[i+2], dst[i+3])
+	}
 }
 
 // project maps a world point to pixel coordinates under the axis-aligned
@@ -73,24 +154,6 @@ func (rz Rasterizer) project(x, y, z, sx, sy float64) (int, int) {
 		u, v = x, y
 	}
 	return int(math.Round(u * sx)), int(math.Round(v * sy))
-}
-
-// scaleToFit resamples img to (w, h) with nearest-neighbour sampling; if the
-// sizes already match it returns img unchanged.
-func scaleToFit(img *render.Image, w, h int) *render.Image {
-	if img.W == w && img.H == h {
-		return img
-	}
-	out := render.NewImage(w, h)
-	for y := 0; y < h; y++ {
-		sy := y * img.H / h
-		for x := 0; x < w; x++ {
-			sx := x * img.W / w
-			r, g, b, a := img.At(sx, sy)
-			out.Set(x, y, r, g, b, a)
-		}
-	}
-	return out
 }
 
 // drawLine draws a straight line with Bresenham's algorithm, alpha-blending

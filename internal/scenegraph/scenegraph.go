@@ -93,7 +93,15 @@ func (g *Group) Find(name string) Node {
 // end produces one per processing element per timestep.
 type TextureQuad struct {
 	name string
-	// Image is the slab's rendered texture.
+	// Texture is the slab's rendered texture as it travels on the wire:
+	// packed RGBA8, TexWidth x TexHeight, straight alpha. The quad holds the
+	// buffer it was given — for a viewer that is the very buffer the payload
+	// arrived in — and never writes to it; the rasterizer composites from the
+	// bytes directly.
+	Texture             []byte
+	TexWidth, TexHeight int
+	// Image is the texture of a quad built from a float image instead
+	// (NewTextureQuad); nil when Texture is set.
 	Image *render.Image
 	// Center is the slab center in world coordinates; Depth is the sort key
 	// along the current view axis (larger is farther from the eye).
@@ -109,7 +117,18 @@ type TextureQuad struct {
 	Elevation []float32
 }
 
-// NewTextureQuad creates a texture quad node.
+// NewTextureQuadRGBA8 creates a texture quad node holding tex, a w x h RGBA8
+// texture, without copying or converting it. The caller must not modify tex
+// afterwards.
+func NewTextureQuadRGBA8(name string, w, h int, tex []byte, center Vec3, depth, width, height float64) (*TextureQuad, error) {
+	if w < 0 || h < 0 || len(tex) != w*h*4 {
+		return nil, fmt.Errorf("scenegraph: RGBA8 buffer length %d does not match %dx%d", len(tex), w, h)
+	}
+	return &TextureQuad{name: name, Texture: tex, TexWidth: w, TexHeight: h,
+		Center: center, Depth: depth, Width: width, Height: height}, nil
+}
+
+// NewTextureQuad creates a texture quad node from a float image.
 func NewTextureQuad(name string, img *render.Image, center Vec3, depth, width, height float64) *TextureQuad {
 	return &TextureQuad{name: name, Image: img, Center: center, Depth: depth, Width: width, Height: height}
 }

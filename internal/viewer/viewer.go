@@ -103,6 +103,11 @@ type Viewer struct {
 	rendered  int64
 	renderMu  sync.Mutex
 	lastImage *render.Image
+	// lastHeld is set once lastImage has been handed to a caller (returned
+	// by RenderOnce, LastImage or CompositeView). The render loop recycles
+	// the image it replaces only while this is false, so an image anybody
+	// outside the loop can still see is never reused.
+	lastHeld bool
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -185,10 +190,6 @@ func (v *Viewer) Deliver(lp *wire.LightPayload, hp *wire.HeavyPayload) error {
 		return fmt.Errorf("viewer: light payload (frame %d, PE %d) does not match heavy payload (frame %d, PE %d)",
 			lp.Frame, lp.PE, hp.Frame, hp.PE)
 	}
-	img, err := render.FromRGBA8(hp.TexWidth, hp.TexHeight, hp.Texture)
-	if err != nil {
-		return fmt.Errorf("viewer: decoding texture from PE %d: %w", hp.PE, err)
-	}
 
 	// Depth sorting key: the slab center's coordinate along the current
 	// decomposition axis (larger = farther for our orthographic camera).
@@ -202,14 +203,21 @@ func (v *Viewer) Deliver(lp *wire.LightPayload, hp *wire.HeavyPayload) error {
 		depth = lp.CenterZ
 	}
 
+	// The quad holds the payload's RGBA8 texture itself — for a network
+	// viewer the buffer the message arrived in, for an in-process one the
+	// back end's published texture — so delivery costs no per-pixel work and
+	// the scene never writes to a texture it may be sharing.
+	name := quadName(lp.PE)
+	q, err := scenegraph.NewTextureQuadRGBA8(name, hp.TexWidth, hp.TexHeight, hp.Texture,
+		scenegraph.Vec3{X: lp.CenterX, Y: lp.CenterY, Z: lp.CenterZ},
+		depth, lp.Width, lp.Height)
+	if err != nil {
+		return fmt.Errorf("viewer: texture from PE %d: %w", hp.PE, err)
+	}
+	q.Frame = lp.Frame
+	q.Elevation = hp.Elevation
 	v.scene.Update(func(root *scenegraph.Group) {
-		name := quadName(lp.PE)
 		root.Remove(name)
-		q := scenegraph.NewTextureQuad(name, img,
-			scenegraph.Vec3{X: lp.CenterX, Y: lp.CenterY, Z: lp.CenterZ},
-			depth, lp.Width, lp.Height)
-		q.Frame = lp.Frame
-		q.Elevation = hp.Elevation
 		root.Add(q)
 		if len(hp.Grid) > 0 {
 			gname := gridName(lp.PE)
@@ -380,30 +388,44 @@ func (v *Viewer) StartRenderLoop(interval time.Duration) {
 					continue
 				}
 				lastVersion, lastAngle = version, angle
-				v.RenderOnce()
+				v.renderFrame(false)
 			}
 		}
 	}()
 }
 
 // RenderOnce composites the current scene into an image and records it as
-// the latest rendered frame. The render thread calls it repeatedly; tests and
-// examples may call it directly.
-func (v *Viewer) RenderOnce() *render.Image {
-	rz := scenegraph.Rasterizer{Width: v.cfg.ViewWidth, Height: v.cfg.ViewHeight}
-	img := rz.Render(v.scene)
+// the latest rendered frame. The returned image belongs to the caller: the
+// viewer never draws into it again.
+func (v *Viewer) RenderOnce() *render.Image { return v.renderFrame(true) }
+
+// renderFrame composites the scene into an image from the render free list
+// and publishes it as the latest frame; held says whether the image leaves
+// the viewer with this call. The frame it replaces goes back to the free
+// list unless somebody was handed it — the render loop, which hands its
+// frames to nobody, so cycles through two images instead of allocating (and
+// zeroing) a new one per composite.
+func (v *Viewer) renderFrame(held bool) *render.Image {
+	img := render.GetImage(v.cfg.ViewWidth, v.cfg.ViewHeight)
+	scenegraph.Rasterizer{}.RenderInto(v.scene, img)
 	v.renderMu.Lock()
-	v.lastImage = img
+	prev, prevHeld := v.lastImage, v.lastHeld
+	v.lastImage, v.lastHeld = img, held
 	v.rendered++
 	v.renderMu.Unlock()
+	if !prevHeld {
+		render.PutImage(prev)
+	}
 	return img
 }
 
 // LastImage returns the most recently rendered image, or nil if the render
-// loop has not produced one yet.
+// loop has not produced one yet. The image stays valid for as long as the
+// caller keeps it.
 func (v *Viewer) LastImage() *render.Image {
 	v.renderMu.Lock()
 	defer v.renderMu.Unlock()
+	v.lastHeld = true
 	return v.lastImage
 }
 

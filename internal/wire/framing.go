@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"sync"
 )
 
@@ -68,9 +69,14 @@ type Message struct {
 // operating simultaneously.
 type Conn struct {
 	wmu sync.Mutex
-	w   *bufio.Writer
-	rmu sync.Mutex
-	r   *bufio.Reader
+	w   *bufio.Writer // small messages; flushed before wmu is released
+	raw io.Writer     // heavy frames go out unbuffered, segment by segment
+	// wvec and wbufs are SendHeavyFrame's reusable segment list (see
+	// DispatchConn.bufs for why the net.Buffers view is a field).
+	wvec  [][]byte
+	wbufs net.Buffers
+	rmu   sync.Mutex
+	r     *bufio.Reader
 
 	closer io.Closer
 
@@ -84,8 +90,10 @@ type Conn struct {
 // io.Closer, Close forwards to it.
 func NewConn(rw io.ReadWriter) *Conn {
 	c := &Conn{
-		w: bufio.NewWriterSize(rw, 64<<10),
-		r: bufio.NewReaderSize(rw, 64<<10),
+		w:    bufio.NewWriterSize(rw, 64<<10),
+		raw:  rw,
+		wvec: make([][]byte, 0, 3),
+		r:    bufio.NewReaderSize(rw, 64<<10),
 	}
 	if cl, ok := rw.(io.Closer); ok {
 		c.closer = cl
@@ -101,9 +109,7 @@ func (c *Conn) WriteMessage(t MessageType, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	var hdr [frameHeaderSize]byte
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[5:], crc32.ChecksumIEEE(payload))
+	putFrameHeader(hdr[:], t, len(payload), crc32.ChecksumIEEE(payload))
 	if _, err := c.w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
@@ -118,7 +124,16 @@ func (c *Conn) WriteMessage(t MessageType, payload []byte) error {
 	return nil
 }
 
-// ReadMessage reads the next frame, validating its checksum.
+// putFrameHeader encodes a frame header into hdr[:frameHeaderSize].
+func putFrameHeader(hdr []byte, t MessageType, n int, crc uint32) {
+	hdr[0] = byte(t)
+	binary.BigEndian.PutUint32(hdr[1:], uint32(n))
+	binary.BigEndian.PutUint32(hdr[5:], crc)
+}
+
+// ReadMessage reads the next frame, validating its checksum. The returned
+// payload is a fresh buffer nobody else references: the caller owns it, and
+// DecodeHeavy turns it into the texture's home without another copy.
 func (c *Conn) ReadMessage() (Message, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -165,13 +180,70 @@ func (c *Conn) SendLight(lp *LightPayload) error {
 	return c.WriteMessage(MsgLight, b)
 }
 
-// SendHeavy sends a MsgHeavy frame.
+// SendHeavy sends a MsgHeavy frame. The texture goes out straight from
+// hp.Texture; see SendHeavyFrame.
 func (c *Conn) SendHeavy(hp *HeavyPayload) error {
-	b, err := hp.MarshalBinary()
+	f, err := FrameHeavy(hp)
 	if err != nil {
 		return err
 	}
-	return c.WriteMessage(MsgHeavy, b)
+	return c.SendHeavyFrame(f)
+}
+
+// HeavyFrame is a heavy payload framed for sending: the frame header (with
+// the CRC over the whole payload) and the fixed heavy header in one small
+// block, the texture by reference, and the encoded grid and elevation when
+// the slab carries any. It is immutable and shares the payload's texture, so
+// one HeavyFrame can be sent on any number of connections concurrently — the
+// fan-out frames each slab once, not once per viewer.
+type HeavyFrame struct {
+	head    [frameHeaderSize + heavyHeaderSize]byte
+	texture []byte
+	tail    []byte
+}
+
+// FrameHeavy validates hp and frames it without copying its texture. The
+// payload must not be modified while the frame is in use.
+func FrameHeavy(hp *HeavyPayload) (*HeavyFrame, error) {
+	if err := hp.validate(); err != nil {
+		return nil, err
+	}
+	if hp.WireSize() > maxFramePayload {
+		return nil, fmt.Errorf("wire: payload of %d bytes exceeds frame limit", hp.WireSize())
+	}
+	f := &HeavyFrame{texture: hp.Texture}
+	hp.putHeader(f.head[frameHeaderSize:])
+	if len(hp.Grid) > 0 || len(hp.Elevation) > 0 {
+		f.tail = hp.appendTail(make([]byte, 0, hp.tailSize()))
+	}
+	crc := crc32.ChecksumIEEE(f.head[frameHeaderSize:])
+	crc = crc32.Update(crc, crc32.IEEETable, f.texture)
+	crc = crc32.Update(crc, crc32.IEEETable, f.tail)
+	putFrameHeader(f.head[:], MsgHeavy, int(hp.WireSize()), crc)
+	return f, nil
+}
+
+// SendHeavyFrame sends a pre-framed heavy payload as separate segments — one
+// vectored write on a TCP connection, chunk-aligned writes on a Stripe — so
+// the texture is never concatenated into a message buffer.
+func (c *Conn) SendHeavyFrame(f *HeavyFrame) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wvec = append(c.wvec[:0], f.head[:], f.texture)
+	if len(f.tail) > 0 {
+		c.wvec = append(c.wvec, f.tail)
+	}
+	c.wbufs = c.wvec
+	n, err := c.wbufs.WriteTo(c.raw)
+	// Do not pin the texture until the next heavy frame.
+	clear(c.wvec)
+	c.wbufs = nil
+	if err != nil {
+		return fmt.Errorf("wire: write heavy frame: %w", err)
+	}
+	c.bytesOut += n
+	c.msgsOut++
+	return nil
 }
 
 // SendAxisHint sends a MsgAxisHint frame.
@@ -222,13 +294,17 @@ func DecodeLight(m Message) (*LightPayload, error) {
 	return lp, nil
 }
 
-// DecodeHeavy decodes the payload of a MsgHeavy message.
+// DecodeHeavy decodes the payload of a MsgHeavy message. Ownership of
+// m.Payload transfers to the result: the returned Texture aliases it (the
+// buffer ReadMessage allocated becomes the texture's only home), so the
+// caller must not reuse or modify m.Payload afterwards. Callers that need a
+// detached copy use HeavyPayload.UnmarshalBinary.
 func DecodeHeavy(m Message) (*HeavyPayload, error) {
 	if m.Type != MsgHeavy {
 		return nil, fmt.Errorf("wire: expected HEAVY message, got %v", m.Type)
 	}
 	hp := new(HeavyPayload)
-	if err := hp.UnmarshalBinary(m.Payload); err != nil {
+	if err := hp.decode(m.Payload, true); err != nil {
 		return nil, err
 	}
 	return hp, nil

@@ -197,61 +197,77 @@ type HeavyPayload struct {
 // WireSize returns the number of payload bytes the heavy payload occupies on
 // the wire (excluding frame headers).
 func (hp *HeavyPayload) WireSize() int64 {
-	n := int64(6 * 4) // fixed header: frame, pe, w, h, grid count, elev count
-	n += int64(len(hp.Texture))
-	n += int64(len(hp.Grid)) * segmentWireSize
-	n += int64(len(hp.Elevation)) * 4
-	return n
+	return heavyHeaderSize + int64(len(hp.Texture)) + int64(hp.tailSize())
 }
 
-// MarshalBinary encodes the heavy payload.
-func (hp *HeavyPayload) MarshalBinary() ([]byte, error) {
+// heavyHeaderSize is the fixed header of an encoded heavy payload: frame, PE,
+// texture width and height, grid segment count, elevation float count.
+const heavyHeaderSize = 6 * 4
+
+// validate checks the invariants every encoder relies on.
+func (hp *HeavyPayload) validate() error {
 	if hp.TexWidth < 0 || hp.TexHeight < 0 {
-		return nil, fmt.Errorf("wire: negative texture dimensions %dx%d", hp.TexWidth, hp.TexHeight)
+		return fmt.Errorf("wire: negative texture dimensions %dx%d", hp.TexWidth, hp.TexHeight)
 	}
 	if want := hp.TexWidth * hp.TexHeight * 4; len(hp.Texture) != want {
-		return nil, fmt.Errorf("wire: texture is %d bytes, want %d for %dx%d RGBA",
+		return fmt.Errorf("wire: texture is %d bytes, want %d for %dx%d RGBA",
 			len(hp.Texture), want, hp.TexWidth, hp.TexHeight)
 	}
-	buf := make([]byte, 0, hp.WireSize())
-	var w32 [4]byte
-	app32 := func(v int) {
-		binary.BigEndian.PutUint32(w32[:], uint32(int32(v)))
-		buf = append(buf, w32[:]...)
+	return nil
+}
+
+// putHeader encodes the fixed header into buf[:heavyHeaderSize].
+func (hp *HeavyPayload) putHeader(buf []byte) {
+	for i, v := range [...]int{hp.Frame, hp.PE, hp.TexWidth, hp.TexHeight, len(hp.Grid), len(hp.Elevation)} {
+		binary.BigEndian.PutUint32(buf[i*4:], uint32(int32(v)))
 	}
-	app32(hp.Frame)
-	app32(hp.PE)
-	app32(hp.TexWidth)
-	app32(hp.TexHeight)
-	app32(len(hp.Grid))
-	app32(len(hp.Elevation))
-	buf = append(buf, hp.Texture...)
-	appF := func(v float32) {
-		binary.BigEndian.PutUint32(w32[:], math.Float32bits(v))
-		buf = append(buf, w32[:]...)
-	}
+}
+
+// tailSize is the encoded size of everything after the texture.
+func (hp *HeavyPayload) tailSize() int {
+	return len(hp.Grid)*segmentWireSize + len(hp.Elevation)*4
+}
+
+// appendTail appends the encoded grid segments and elevation map.
+func (hp *HeavyPayload) appendTail(buf []byte) []byte {
 	for _, s := range hp.Grid {
-		appF(s.A.X)
-		appF(s.A.Y)
-		appF(s.A.Z)
-		appF(s.B.X)
-		appF(s.B.Y)
-		appF(s.B.Z)
-		app32(s.Level)
+		for _, f := range [...]float32{s.A.X, s.A.Y, s.A.Z, s.B.X, s.B.Y, s.B.Z} {
+			buf = binary.BigEndian.AppendUint32(buf, math.Float32bits(f))
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(s.Level)))
 	}
 	for _, e := range hp.Elevation {
-		binary.BigEndian.PutUint32(w32[:], math.Float32bits(e))
-		buf = append(buf, w32[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, math.Float32bits(e))
 	}
-	return buf, nil
+	return buf
+}
+
+// MarshalBinary encodes the heavy payload into one contiguous buffer. The
+// send path does not use it (Conn.SendHeavy writes the texture in place); it
+// is the encoding.BinaryMarshaler form for callers that want the bytes.
+func (hp *HeavyPayload) MarshalBinary() ([]byte, error) {
+	if err := hp.validate(); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, heavyHeaderSize, hp.WireSize())
+	hp.putHeader(buf)
+	buf = append(buf, hp.Texture...)
+	return hp.appendTail(buf), nil
 }
 
 // UnmarshalBinary decodes a heavy payload previously produced by
-// MarshalBinary.
+// MarshalBinary. The result owns its texture: data is copied, never aliased
+// (the encoding.BinaryUnmarshaler contract). The receive path uses
+// DecodeHeavy, which takes the message buffer over instead.
 func (hp *HeavyPayload) UnmarshalBinary(data []byte) error {
-	const hdr = 6 * 4
-	if len(data) < hdr {
-		return fmt.Errorf("%w: heavy payload %d bytes, need at least %d", ErrTruncated, len(data), hdr)
+	return hp.decode(data, false)
+}
+
+// decode parses an encoded heavy payload. With alias set the texture is a
+// capacity-limited sub-slice of data; otherwise it is a copy.
+func (hp *HeavyPayload) decode(data []byte, alias bool) error {
+	if len(data) < heavyHeaderSize {
+		return fmt.Errorf("%w: heavy payload %d bytes, need at least %d", ErrTruncated, len(data), heavyHeaderSize)
 	}
 	off := 0
 	get32 := func() int {
@@ -278,11 +294,15 @@ func (hp *HeavyPayload) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: heavy payload %d bytes, header promises %d-pixel texture", ErrTruncated, len(data), texPixels)
 	}
 	texBytes := int(texPixels) * 4
-	need := int64(hdr) + int64(texBytes) + int64(nGrid)*segmentWireSize + int64(nElev)*4
+	need := heavyHeaderSize + int64(texBytes) + int64(nGrid)*segmentWireSize + int64(nElev)*4
 	if int64(len(data)) < need {
 		return fmt.Errorf("%w: heavy payload %d bytes, header promises %d", ErrTruncated, len(data), need)
 	}
-	hp.Texture = append([]byte(nil), data[off:off+texBytes]...)
+	if alias {
+		hp.Texture = data[off : off+texBytes : off+texBytes]
+	} else {
+		hp.Texture = append([]byte(nil), data[off:off+texBytes]...)
+	}
 	off += texBytes
 	getF := func() float32 {
 		v := math.Float32frombits(binary.BigEndian.Uint32(data[off:]))
@@ -298,8 +318,7 @@ func (hp *HeavyPayload) UnmarshalBinary(data []byte) error {
 	if nElev > 0 {
 		hp.Elevation = make([]float32, nElev)
 		for i := range hp.Elevation {
-			hp.Elevation[i] = math.Float32frombits(binary.BigEndian.Uint32(data[off:]))
-			off += 4
+			hp.Elevation[i] = getF()
 		}
 	} else {
 		hp.Elevation = nil
