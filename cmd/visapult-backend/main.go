@@ -59,14 +59,13 @@ func main() {
 	serveControl := flag.String("serve-control", "", "worker mode: listen on this address for runs dispatched by visapultd")
 	capacity := flag.Int("capacity", 2, "concurrent dispatched runs in -serve-control mode")
 	frameCacheMB := flag.Int64("frame-cache-mb", 256, "slab-texture frame cache capacity in MiB for -serve-control mode (0 disables replay caching)")
-	wireVer := flag.Int("wire", 2, "max dispatch wire version to accept in -serve-control mode (1 = JSON only, 2 = binary)")
 	renderWorkers := flag.Int("render-workers", 0, "render-pool goroutines shared by the PEs (0 = GOMAXPROCS; dispatched specs with renderWorkers set win)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables profiling)")
 	flag.Parse()
 
 	startPprof(*pprofAddr)
 	if *serveControl != "" {
-		serveWorker(*serveControl, *capacity, *frameCacheMB, *wireVer, *renderWorkers)
+		serveWorker(*serveControl, *capacity, *frameCacheMB, *renderWorkers)
 		return
 	}
 
@@ -172,7 +171,7 @@ func main() {
 }
 
 // serveWorker runs the process as a dispatch worker until interrupted.
-func serveWorker(addr string, capacity int, frameCacheMB int64, wireVer, renderWorkers int) {
+func serveWorker(addr string, capacity int, frameCacheMB int64, renderWorkers int) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(err)
@@ -184,7 +183,6 @@ func serveWorker(addr string, capacity int, frameCacheMB int64, wireVer, renderW
 	err = visapult.ServeWorker(ctx, ln, visapult.WorkerConfig{
 		Capacity:        capacity,
 		FrameCacheBytes: frameCacheMB << 20,
-		MaxWireVersion:  wireVer,
 		RenderWorkers:   renderWorkers,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("visapult-backend: "+format+"\n", args...)

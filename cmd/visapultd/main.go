@@ -110,7 +110,6 @@ func main() {
 	dpssStripes := flag.Int("dpss-stripes", 0, "parallel striped connections per DPSS block server (0 = client default)")
 	retain := flag.Duration("retain", 0, "drop terminal runs older than this (0 keeps them until DELETE/prune)")
 	frameCacheMB := flag.Int64("frame-cache-mb", 256, "slab-texture frame cache capacity in MiB (0 disables replay caching)")
-	wireVer := flag.Int("wire", 2, "max dispatch wire version to negotiate with workers (1 = JSON only, 2 = binary)")
 	renderWorkers := flag.Int("render-workers", 0, "default render-pool goroutines per in-process run (0 = GOMAXPROCS; specs with renderWorkers set win)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables profiling)")
 	flag.Parse()
@@ -120,7 +119,6 @@ func main() {
 	if *frameCacheMB > 0 {
 		mgr.SetFrameCacheCapacity(*frameCacheMB << 20)
 	}
-	mgr.SetMaxWireVersion(*wireVer)
 	mgr.SetDefaultRenderWorkers(*renderWorkers)
 	// Run GC: with -retain set, a background pruner keeps the run table (and
 	// its per-frame metric buffers) bounded for long-lived daemons. The sweep

@@ -204,7 +204,6 @@ type workerJSON struct {
 	Addr       string `json:"addr"`
 	Capacity   int    `json:"capacity"`
 	Active     int    `json:"active"`
-	Wire       int    `json:"wire"`
 	State      string `json:"state"`
 	Registered string `json:"registered,omitempty"`
 	Failures   int    `json:"failures,omitempty"`
@@ -217,7 +216,6 @@ func toWorkerJSON(ws visapult.WorkerStatus) workerJSON {
 		Addr:       ws.Addr,
 		Capacity:   ws.Capacity,
 		Active:     ws.Active,
-		Wire:       ws.Wire,
 		State:      ws.State.String(),
 		Registered: fmtTime(ws.Registered),
 		Failures:   ws.Failures,

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"visapult/internal/wire"
 )
 
 // Golden hashes pin the v1 render-hash layout: if any of these change, a
@@ -159,8 +161,8 @@ func TestCanonicalDoesNotMutate(t *testing.T) {
 }
 
 // The new RunSpec fields (the TF table) must survive the dispatch protocol's
-// JSON framing byte-for-byte: a worker must reconstruct the same render (and
-// the same cache identity) the scheduler hashed.
+// run frame byte-for-byte: a worker must reconstruct the same render (and the
+// same cache identity) the scheduler hashed.
 func TestRunSpecJSONRoundTripThroughDispatch(t *testing.T) {
 	spec := quickSpec()
 	spec.Viewers = 2
@@ -169,24 +171,29 @@ func TestRunSpecJSONRoundTripThroughDispatch(t *testing.T) {
 		{Value: 0.9, R: 1, G: 0.5, B: 0, A: 1},
 	}}
 
-	raw, err := json.Marshal(workerRequest{Op: opRun, Name: "rt", Spec: &spec})
+	specJSON, err := json.Marshal(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req workerRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
+	sent := wire.DispatchRun{Name: "rt", Spec: specJSON}
+	var got wire.DispatchRun
+	if err := got.Decode(sent.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if req.Spec == nil {
-		t.Fatal("spec lost in round trip")
+	if got.Name != "rt" {
+		t.Fatalf("run name %q lost in round trip", got.Name)
 	}
-	if !reflect.DeepEqual(*req.Spec, spec) {
-		t.Errorf("round trip changed the spec:\n got %+v\nwant %+v", *req.Spec, spec)
+	var back RunSpec
+	if err := json.Unmarshal(got.Spec, &back); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := req.Spec.RenderHash(), spec.RenderHash(); got != want {
+	if !reflect.DeepEqual(back, spec) {
+		t.Errorf("round trip changed the spec:\n got %+v\nwant %+v", back, spec)
+	}
+	if got, want := back.RenderHash(), spec.RenderHash(); got != want {
 		t.Errorf("round trip moved the render hash: %s != %s", got, want)
 	}
-	gd, gt := req.Spec.cacheIdentity()
+	gd, gt := back.cacheIdentity()
 	wd, wt := spec.cacheIdentity()
 	if gd != wd || gt != wt {
 		t.Errorf("round trip moved the cache identity: (%s, %s) != (%s, %s)", gd, gt, wd, wt)

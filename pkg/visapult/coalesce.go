@@ -19,11 +19,10 @@ import (
 // leader's result. At the paper's million-viewer scale this is the request
 // dedup in front of the frame cache: N identical submissions cost one render.
 //
-// Coalescing is wire-version neutral: a remotely placed leader's frame
-// metrics arrive through whichever dispatch wire the worker negotiated
-// (binary v2 frames or JSON v1 lines — see internal/wire's dispatch codec),
-// and the relay below fans the decoded FrameMetric values out to followers
-// identically. Followers never hold their own dispatch connection.
+// A remotely placed leader's frame metrics arrive as dispatch-wire frames
+// (see internal/wire's dispatch codec), and the relay below fans the decoded
+// FrameMetric values out to followers exactly as it does a local leader's.
+// Followers never hold their own dispatch connection.
 
 // viewerPort abstracts where a run's fan-out lives: in-process behind a
 // core.FanoutControl, or on a remote worker behind the dispatch protocol's
@@ -74,9 +73,9 @@ func (m *Manager) claimCoalesce(r *managedRun) *managedRun {
 	return nil
 }
 
-// releaseCoalesce drops r's leadership claim once its execution ends, so the
-// next identical submission starts a fresh render (typically served straight
-// from the frame cache).
+// releaseCoalesce drops r's leadership claim as its execution ends (from
+// r.finish, before r.done closes), so the next identical submission starts a
+// fresh render (typically served straight from the frame cache).
 func (m *Manager) releaseCoalesce(r *managedRun) {
 	if r.renderKey == "" {
 		return
@@ -98,7 +97,6 @@ func (m *Manager) executeSpec(r *managedRun, ctx context.Context) {
 		leader := m.claimCoalesce(r)
 		if leader == nil {
 			m.executeRemote(r, ctx, *r.spec)
-			m.releaseCoalesce(r)
 			return
 		}
 		retry := m.follow(r, ctx, leader)

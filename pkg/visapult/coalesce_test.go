@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"visapult/internal/wire"
 )
 
 // startCachingWorker is startTestWorker with a slab-texture cache, so repeat
@@ -51,6 +53,60 @@ func coalesceSpec() RunSpec {
 
 func isCoalesced(st RunStatus) bool {
 	return strings.HasPrefix(st.Worker, "coalesced:")
+}
+
+// A run's coalesce leadership is released before its done channel closes,
+// so Wait never returns while an immediate Prune or identical submission
+// would still find the finished run leading its render key. The test holds
+// the manager's lock while the worker delivers the result: done must not
+// close until the leader has been able to take that lock and drop its claim.
+func TestWaitReleasesCoalesceLeadership(t *testing.T) {
+	accepted := make(chan struct{})
+	release := make(chan struct{})
+	addr := startFakeWorker(t, func(dc *wire.DispatchConn) {
+		close(accepted)
+		<-release
+		dc.WriteFrame(wire.DResult, []byte(`{}`))
+		dc.ReadFrame() // hold the connection until the dispatcher hangs up
+	})
+	m := NewManager(1)
+	defer m.Close()
+	if _, err := m.RegisterWorker(context.Background(), addr, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CreateSpec("lead", quickSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start("lead"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.get("lead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-accepted
+
+	m.mu.Lock()
+	close(release)
+	select {
+	case <-r.done:
+		m.mu.Unlock()
+		t.Fatal("run finished while its coalesce claim could not yet be dropped")
+	case <-time.After(50 * time.Millisecond):
+	}
+	m.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := m.Wait(ctx, "lead"); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	leader, held := m.coalesce[r.renderKey]
+	m.mu.Unlock()
+	if held {
+		t.Fatalf("Wait returned while run %q still leads its render key", leader.name)
+	}
 }
 
 // Identical submissions must coalesce onto one live local render: the leader

@@ -19,12 +19,9 @@ import (
 // elsewhere, worker stays live), while any transport-level error means the
 // worker is gone (retry elsewhere AND mark the worker dead).
 //
-// The conversation runs over whichever wire version the pool negotiated for
-// the worker (the ping reply's advertised maximum, capped by the manager's):
-// v1 is newline-delimited JSON, v2 the binary framing of
-// internal/wire/dispatch.go. Both carry the same message flow; v2
-// additionally streams raw slab payloads back when asked, so the dispatcher
-// can seed its own frame cache from remote renders.
+// The conversation runs over the dispatch wire of internal/wire/dispatch.go.
+// When asked, the worker also streams raw slab payloads back, so the
+// dispatcher can seed its own frame cache from remote renders.
 
 // remoteRunError is a run failure reported by a live worker over the
 // protocol, as opposed to a dropped connection.
@@ -42,16 +39,19 @@ var errWorkerBusy = errors.New("visapult: worker at capacity")
 // run's dispatch connection ended.
 var errDispatchClosed = errors.New("visapult: dispatch connection closed")
 
+// ErrWireVersion reports a worker that accepted the connection but did not
+// answer a VPD2 ping with a pong: it speaks some other protocol (an older
+// JSON worker, or not a worker at all).
+var ErrWireVersion = errors.New("visapult: worker does not speak the VPD2 dispatch wire")
+
 // dispatchHandle is the client end of a live dispatched run's control
 // channel: it multiplexes seq-numbered viewer operations (attach, detach,
 // viewers) onto the same connection the frame stream rides, and correlates
-// the worker's ctrl acks back to their waiting callers. The wire version is
-// abstracted behind sendCtrl.
+// the worker's ctrl acks back to their waiting callers.
 type dispatchHandle struct {
 	conn net.Conn
-
-	wmu      sync.Mutex                                      // serializes control writes on conn
-	sendCtrl func(op string, seq int64, viewer string) error // guarded by wmu
+	dc   *wire.DispatchConn
+	wmu  sync.Mutex // pairs each control write with its write deadline
 
 	mu      sync.Mutex
 	seq     int64                  // guarded by mu
@@ -59,46 +59,10 @@ type dispatchHandle struct {
 	closed  bool                   // guarded by mu
 }
 
-// newJSONDispatchHandle builds the v1 handle: control ops go out as JSON
-// workerRequest lines.
-func newJSONDispatchHandle(conn net.Conn, enc *json.Encoder) *dispatchHandle {
-	sendCtrl := func(op string, seq int64, viewer string) error {
-		return enc.Encode(workerRequest{Op: op, Seq: seq, Viewer: viewer})
-	}
-	return &dispatchHandle{conn: conn, sendCtrl: sendCtrl, pending: make(map[int64]chan ctrlAck)}
-}
-
-// newV2DispatchHandle builds the binary handle: control ops go out as
-// fixed-layout DCtrl frames through pooled encode buffers.
-func newV2DispatchHandle(conn net.Conn, dc *wire.DispatchConn) *dispatchHandle {
-	sendCtrl := func(op string, seq int64, viewer string) error {
-		var wop wire.DispatchCtrlOp
-		switch op {
-		case opCancel:
-			wop = wire.DCtrlCancel
-		case opAttach:
-			wop = wire.DCtrlAttach
-		case opDetach:
-			wop = wire.DCtrlDetach
-		case opViewers:
-			wop = wire.DCtrlViewers
-		default:
-			return fmt.Errorf("visapult: unknown control op %q", op)
-		}
-		c := wire.DispatchCtrl{Op: wop, Seq: seq, Viewer: viewer}
-		buf := wire.GetDispatchBuf()
-		*buf = c.Append(*buf)
-		err := dc.WriteFrame(wire.DCtrl, *buf)
-		wire.PutDispatchBuf(buf)
-		return err
-	}
-	return &dispatchHandle{conn: conn, sendCtrl: sendCtrl, pending: make(map[int64]chan ctrlAck)}
-}
-
 // roundTrip sends one control request and waits for its ack. The write is
 // deadline-bounded; the wait is bounded by ctx and by the connection's
 // lifetime (fail closes every pending channel).
-func (h *dispatchHandle) roundTrip(ctx context.Context, op, viewer string) (ctrlAck, error) {
+func (h *dispatchHandle) roundTrip(ctx context.Context, op wire.DispatchCtrlOp, viewer string) (ctrlAck, error) {
 	ch := make(chan ctrlAck, 1)
 	h.mu.Lock()
 	if h.closed {
@@ -110,13 +74,17 @@ func (h *dispatchHandle) roundTrip(ctx context.Context, op, viewer string) (ctrl
 	h.pending[seq] = ch
 	h.mu.Unlock()
 
+	c := wire.DispatchCtrl{Op: op, Seq: seq, Viewer: viewer}
+	buf := wire.GetDispatchBuf()
+	*buf = c.Append(*buf)
 	h.wmu.Lock()
 	h.conn.SetWriteDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck
-	err := h.sendCtrl(op, seq, viewer)
+	err := h.dc.WriteFrame(wire.DCtrl, *buf)
 	h.wmu.Unlock()
+	wire.PutDispatchBuf(buf)
 	if err != nil {
 		h.drop(seq)
-		return ctrlAck{}, fmt.Errorf("visapult: sending %s to worker: %w", op, err)
+		return ctrlAck{}, fmt.Errorf("visapult: sending control op %d to worker: %w", op, err)
 	}
 	select {
 	case ack, ok := <-ch:
@@ -161,7 +129,7 @@ func (h *dispatchHandle) fail() {
 
 // viewerOp runs one attach/detach against the remote fan-out, translating a
 // NoFanout ack back into the ErrNoFanout sentinel local runs produce.
-func (h *dispatchHandle) viewerOp(ctx context.Context, op, id string) error {
+func (h *dispatchHandle) viewerOp(ctx context.Context, op wire.DispatchCtrlOp, id string) error {
 	ack, err := h.roundTrip(ctx, op, id)
 	if err != nil {
 		return err
@@ -180,15 +148,15 @@ func (h *dispatchHandle) viewerOp(ctx context.Context, op, id string) error {
 type remotePort struct{ h *dispatchHandle }
 
 func (p remotePort) attach(ctx context.Context, id string) error {
-	return p.h.viewerOp(ctx, opAttach, id)
+	return p.h.viewerOp(ctx, wire.DCtrlAttach, id)
 }
 
 func (p remotePort) detach(ctx context.Context, id string) error {
-	return p.h.viewerOp(ctx, opDetach, id)
+	return p.h.viewerOp(ctx, wire.DCtrlDetach, id)
 }
 
 func (p remotePort) viewers(ctx context.Context) ([]ViewerDelivery, error) {
-	ack, err := p.h.roundTrip(ctx, opViewers, "")
+	ack, err := p.h.roundTrip(ctx, wire.DCtrlViewers, "")
 	if err != nil {
 		return nil, err
 	}
@@ -205,9 +173,10 @@ func (p remotePort) viewers(ctx context.Context) ([]ViewerDelivery, error) {
 // deadline of its own.
 const pingTimeout = 5 * time.Second
 
-// pingWorker checks that a worker answers the control protocol and returns
-// its advertised capacity, load and wire version. Pings are always JSON —
-// they are the channel wire negotiation itself rides on.
+// pingWorker checks that a worker answers the dispatch wire and returns its
+// advertised capacity and load. A peer that accepts the connection but does
+// not answer the ping with a pong fails with ErrWireVersion; dial errors and
+// timeouts are returned as they are.
 func pingWorker(ctx context.Context, addr string) (WorkerHello, error) {
 	// Bound the whole probe — including the dial, which against a
 	// blackholed address would otherwise block for the kernel's SYN retry
@@ -224,36 +193,45 @@ func pingWorker(ctx context.Context, addr string) (WorkerHello, error) {
 	}
 	defer conn.Close()
 	dl, _ := ctx.Deadline()
-	conn.SetDeadline(dl)
-	if err := json.NewEncoder(conn).Encode(workerRequest{Op: opPing}); err != nil {
+	conn.SetDeadline(dl) //nolint:errcheck
+	dc := wire.NewDispatchConn(conn, conn)
+	if err := wire.WriteDispatchMagic(conn); err != nil {
 		return WorkerHello{}, err
 	}
-	var rep workerReply
-	if err := json.NewDecoder(conn).Decode(&rep); err != nil {
+	if err := dc.WriteFrame(wire.DPing); err != nil {
 		return WorkerHello{}, err
 	}
-	if rep.Pong == nil {
-		if rep.Error != "" {
-			return WorkerHello{}, errors.New(rep.Error)
+	t, payload, err := dc.ReadFrame()
+	if err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			return WorkerHello{}, err
 		}
-		return WorkerHello{}, errors.New("visapult: malformed ping reply")
+		return WorkerHello{}, fmt.Errorf("%w: %w", ErrWireVersion, err)
 	}
-	return *rep.Pong, nil
+	if t != wire.DPong {
+		return WorkerHello{}, fmt.Errorf("%w: ping answered with a %v frame", ErrWireVersion, t)
+	}
+	var hello WorkerHello
+	if err := json.Unmarshal(payload, &hello); err != nil {
+		return WorkerHello{}, fmt.Errorf("%w: malformed pong: %w", ErrWireVersion, err)
+	}
+	return hello, nil
 }
 
-// slabSink receives raw slab payload pairs streamed back by a v2 worker; the
+// slabSink receives raw slab payload pairs streamed back by a worker; the
 // payloads are freshly decoded and owned by the callee.
 type slabSink func(light *wire.LightPayload, heavy *wire.HeavyPayload)
 
-// dispatchRun executes one spec on the worker at addr over the negotiated
-// wire version, invoking onFrame for every streamed frame metric, and
-// returns the run's result. onHandle, when non-nil, receives the live
-// dispatch handle once the run request is on the wire — the scheduler
-// publishes it as the run's viewer port so attach/detach reach the worker's
-// fan-out; the handle dies with this call. onSlab, when non-nil and the wire
-// is v2, asks the worker to stream rendered slab payloads back. Cancelling
-// ctx closes the connection, which cancels the run on the worker too.
-func dispatchRun(ctx context.Context, addr, name string, spec RunSpec, wireVer int,
+// dispatchRun executes one spec on the worker at addr, invoking onFrame for
+// every streamed frame metric, and returns the run's result. onHandle, when
+// non-nil, receives the live dispatch handle once the run request is on the
+// wire — the scheduler publishes it as the run's viewer port so
+// attach/detach reach the worker's fan-out; the handle dies with this call.
+// onSlab, when non-nil, asks the worker to stream rendered slab payloads
+// back. Cancelling ctx closes the connection, which cancels the run on the
+// worker too.
+func dispatchRun(ctx context.Context, addr, name string, spec RunSpec,
 	onFrame func(FrameMetric), onHandle func(*dispatchHandle), onSlab slabSink) (*Result, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -261,67 +239,12 @@ func dispatchRun(ctx context.Context, addr, name string, spec RunSpec, wireVer i
 		return nil, fmt.Errorf("visapult: dialing worker %s: %w", addr, err)
 	}
 	defer conn.Close()
-
-	if wireVer >= wire.DispatchV2 {
-		return dispatchRunV2(ctx, conn, addr, name, spec, onFrame, onHandle, onSlab)
-	}
-	return dispatchRunV1(ctx, conn, addr, name, spec, onFrame, onHandle)
+	return dispatchOn(ctx, conn, addr, name, spec, onFrame, onHandle, onSlab)
 }
 
-// dispatchRunV1 is the JSON leg of dispatchRun.
-func dispatchRunV1(ctx context.Context, conn net.Conn, addr, name string, spec RunSpec,
-	onFrame func(FrameMetric), onHandle func(*dispatchHandle)) (*Result, error) {
-	// A cancelled dispatch context closes the connection: that bounds every
-	// exchange below and tells the worker to abort the run.
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	enc := json.NewEncoder(conn)
-	h := newJSONDispatchHandle(conn, enc)
-	defer h.fail()
-	h.wmu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck
-	err := enc.Encode(workerRequest{Op: opRun, Name: name, Spec: &spec})
-	h.wmu.Unlock()
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("visapult: sending run %q to worker %s: %w", name, addr, err)
-	}
-	if onHandle != nil {
-		onHandle(h)
-	}
-	dec := json.NewDecoder(conn)
-	for {
-		var rep workerReply
-		if err := dec.Decode(&rep); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			// The stream ended without a terminal reply: the worker died.
-			return nil, fmt.Errorf("visapult: worker %s dropped run %q: %w", addr, name, err)
-		}
-		switch {
-		case rep.Frame != nil:
-			if onFrame != nil {
-				onFrame(*rep.Frame)
-			}
-		case rep.Ctrl != nil:
-			h.deliver(*rep.Ctrl)
-		case rep.Result != nil:
-			return rep.Result.result(), nil
-		case rep.Error != "":
-			if rep.Busy {
-				return nil, errWorkerBusy
-			}
-			return nil, &remoteRunError{rep.Error}
-		}
-	}
-}
-
-// dispatchRunV2 is the binary leg of dispatchRun: magic preamble, one DRun
-// frame, then the reply stream.
-func dispatchRunV2(ctx context.Context, conn net.Conn, addr, name string, spec RunSpec,
+// dispatchOn is dispatchRun over an established connection: magic preamble,
+// one DRun frame, then the reply stream.
+func dispatchOn(ctx context.Context, conn net.Conn, addr, name string, spec RunSpec,
 	onFrame func(FrameMetric), onHandle func(*dispatchHandle), onSlab slabSink) (*Result, error) {
 	specJSON, err := json.Marshal(&spec)
 	if err != nil {
@@ -332,11 +255,12 @@ func dispatchRunV2(ctx context.Context, conn net.Conn, addr, name string, spec R
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 	dc := wire.NewDispatchConn(conn, conn)
-	h := newV2DispatchHandle(conn, dc)
+	h := &dispatchHandle{conn: conn, dc: dc, pending: make(map[int64]chan ctrlAck)}
 	defer h.fail()
 
 	conn.SetWriteDeadline(time.Now().Add(workerIOTimeout)) //nolint:errcheck // re-armed per control write
-	if err := wire.WriteDispatchMagic(conn); err == nil {
+	err = wire.WriteDispatchMagic(conn)
+	if err == nil {
 		rm := wire.DispatchRun{WantSlabs: onSlab != nil, Name: name, Spec: specJSON}
 		buf := wire.GetDispatchBuf()
 		*buf = rm.Append(*buf)

@@ -11,7 +11,6 @@ import (
 
 	"visapult/internal/backend/framecache"
 	"visapult/internal/core"
-	"visapult/internal/wire"
 )
 
 // FrameCacheStats is the frame cache's counter snapshot; see
@@ -146,11 +145,8 @@ type Manager struct {
 	coalesce map[string]*managedRun // guarded by mu
 	// frameCache is the shared slab-texture cache spec-described local runs
 	// render into and replay from; nil until SetFrameCacheCapacity enables it.
-	// Runs placed on v2 workers seed it remotely through slab delivery.
+	// Runs placed on workers seed it remotely through slab delivery.
 	frameCache *framecache.Cache // guarded by mu
-	// maxWire caps the dispatch wire version negotiated with workers;
-	// SetMaxWireVersion(1) pins every dispatch to JSON v1.
-	maxWire int // guarded by mu
 	// renderWorkers is the default render-pool size applied to locally
 	// executed runs that do not set their own; 0 leaves the facade default
 	// (GOMAXPROCS). guarded by mu
@@ -172,6 +168,10 @@ type managedRun struct {
 	// renderKey is the spec's canonical render hash (empty for option-built
 	// runs): submissions sharing it coalesce onto one live render.
 	renderKey string
+	// onFinish, when non-nil, runs as the run finishes, before done closes:
+	// a coalesce leader drops its claim there, so whoever returns from Wait
+	// never sees the finished run still leading its render key.
+	onFinish func()
 
 	mu       sync.Mutex
 	state    RunState           // guarded by mu
@@ -219,7 +219,6 @@ func NewManager(workers int) *Manager {
 		runs:        make(map[string]*managedRun),
 		coalesce:    make(map[string]*managedRun),
 		maxAttempts: defaultMaxAttempts,
-		maxWire:     wire.DispatchV2,
 		baseCtx:     ctx,
 		cancelAll:   cancel,
 	}
@@ -282,27 +281,6 @@ func (m *Manager) frameCacheHandle() *framecache.Cache {
 	return m.frameCache
 }
 
-// SetMaxWireVersion caps the dispatch wire version this manager negotiates
-// with workers registered from now on: 1 pins every dispatch to the JSON v1
-// protocol, 2 (the default; also any out-of-range value) allows the binary
-// v2 wire for workers that advertise it. Workers already registered keep
-// their negotiated version.
-func (m *Manager) SetMaxWireVersion(v int) {
-	if v < wire.DispatchV1 || v > wire.DispatchV2 {
-		v = wire.DispatchV2
-	}
-	m.mu.Lock()
-	m.maxWire = v
-	m.mu.Unlock()
-}
-
-// maxWireVersion returns the manager's dispatch wire version cap.
-func (m *Manager) maxWireVersion() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.maxWire
-}
-
 // Create registers a new named run with the given pipeline options. The
 // options are validated immediately; the run starts executing only when
 // Start is called. Option-built runs always execute locally — use CreateSpec
@@ -351,6 +329,7 @@ func (m *Manager) create(name string, opts []Option, spec *RunSpec) error {
 	}
 	if spec != nil {
 		r.renderKey = spec.RenderHash()
+		r.onFinish = func() { m.releaseCoalesce(r) }
 	}
 	m.runs[name] = r
 	return nil
@@ -582,6 +561,11 @@ func (r *managedRun) observe(fm FrameMetric) {
 
 // finish moves the run to its terminal state and closes subscriptions.
 func (r *managedRun) finish(res *Result, err error) {
+	// onFinish takes the manager's lock, which nests outside r.mu, so it
+	// runs first; a run that is already terminal holds no claim to drop.
+	if r.onFinish != nil {
+		r.onFinish()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.finishLocked(res, err)

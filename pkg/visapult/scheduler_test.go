@@ -2,14 +2,16 @@ package visapult
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"visapult/internal/wire"
 )
 
 // startTestWorker stands up a real in-process dispatch worker (the same
@@ -48,9 +50,10 @@ func startTestWorker(t *testing.T, capacity int) (addr string, stop func()) {
 	return ln.Addr().String(), stop
 }
 
-// startFaultyWorker speaks the control protocol but reports a run failure
-// for every dispatch — a healthy worker whose runs always break.
-func startFaultyWorker(t *testing.T) string {
+// startFakeWorker speaks the dispatch wire by hand: it answers pings with a
+// capacity-1 pong and hands every run connection, its DRun frame consumed,
+// to onRun.
+func startFakeWorker(t *testing.T, onRun func(dc *wire.DispatchConn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -65,20 +68,32 @@ func startFaultyWorker(t *testing.T) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				var req workerRequest
-				if json.NewDecoder(c).Decode(&req) != nil {
+				var magic [len(wire.DispatchMagic)]byte
+				if _, err := io.ReadFull(c, magic[:]); err != nil {
 					return
 				}
-				enc := json.NewEncoder(c)
-				if req.Op == opPing {
-					enc.Encode(workerReply{Pong: &WorkerHello{Capacity: 1}})
-					return
+				dc := wire.NewDispatchConn(c, c)
+				typ, _, err := dc.ReadFrame()
+				switch {
+				case err != nil:
+				case typ == wire.DPing:
+					dc.WriteFrame(wire.DPong, []byte(`{"capacity":1}`))
+				case typ == wire.DRun:
+					onRun(dc)
 				}
-				enc.Encode(workerReply{Error: "synthetic run failure"})
 			}(conn)
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// startFaultyWorker reports a run failure for every dispatch — a healthy
+// worker whose runs always break.
+func startFaultyWorker(t *testing.T) string {
+	return startFakeWorker(t, func(dc *wire.DispatchConn) {
+		de := wire.DispatchError{Msg: "synthetic run failure"}
+		dc.WriteFrame(wire.DError, de.Append(nil))
+	})
 }
 
 // quickSpec finishes in tens of milliseconds; slowSpec runs for a few
