@@ -682,61 +682,6 @@ func BenchmarkX1_QoS(b *testing.B) {
 	}
 }
 
-// BenchmarkDPSSCompression is the wire-level-compression ablation (section 5
-// future work): the same sparse volume read with and without DEFLATE between
-// the block servers and the client.
-func BenchmarkDPSSCompression(b *testing.B) {
-	sparse := volume.MustNew(64, 32, 32)
-	for z := 8; z < 16; z++ {
-		for y := 8; y < 16; y++ {
-			for x := 16; x < 48; x++ {
-				sparse.Set(x, y, z, float32(x)/64)
-			}
-		}
-	}
-	data := sparse.Marshal()
-	cluster, err := dpss.StartCluster(dpss.ClusterConfig{Servers: 2, DisksPerServer: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Close()
-	loader := cluster.NewClient()
-	if _, err := cluster.LoadBytes(loader, "zbench", data, dpss.DefaultBlockSize); err != nil {
-		b.Fatal(err)
-	}
-	loader.Close()
-
-	run := func(b *testing.B, client *dpss.Client) {
-		f, err := client.Open("zbench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, len(data))
-		b.SetBytes(int64(len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.ReadAt(buf, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := client.Stats()
-		if st.BytesRead > 0 {
-			b.ReportMetric(float64(st.WireBytes)/float64(st.BytesRead)*100, "wire-%-of-raw")
-		}
-	}
-	b.Run("plain", func(b *testing.B) {
-		client := cluster.NewClient()
-		defer client.Close()
-		run(b, client)
-	})
-	b.Run("deflate", func(b *testing.B) {
-		client := cluster.NewClient(dpss.WithClientCompression(6))
-		defer client.Close()
-		run(b, client)
-	})
-}
-
 // BenchmarkOverlapImplementations compares the threaded overlapped back end
 // (shared buffers, the paper's choice) with the MPI-style process-pair
 // alternative (per-frame copy, the design Appendix B rejects).

@@ -136,7 +136,7 @@ func printStripeStats(stats map[string][]dpss.StripeStat) {
 		for _, st := range stats[c] {
 			state := "idle"
 			if st.Connected {
-				state = fmt.Sprintf("up/v%d", st.Wire)
+				state = "up"
 			}
 			fmt.Printf("  %-10s %-22s #%d %-7s %10s  reads %-7d fails %d\n",
 				c, st.Server, st.Stripe, state, visapult.HumanBytes(st.Bytes), st.Reads, st.Failures)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -25,9 +26,6 @@ type Client struct {
 	shaper     *netsim.Shaper
 	latency    time.Duration
 	logger     *netlogger.Logger
-	// compress, when positive, requests DEFLATE-compressed blocks at that
-	// level (the section 5 "wire level compression" extension).
-	compress int
 	// opTimeout bounds every request/response exchange whose context carries
 	// no deadline of its own; 0 disables the bound.
 	opTimeout time.Duration
@@ -43,11 +41,8 @@ type Client struct {
 	pools  map[string]*stripePool
 	closed bool
 
-	bytesRead       int64
-	reads           int64
-	wireBytes       int64
-	compressedRaw   int64
-	compressedReads int64
+	bytesRead int64
+	reads     int64
 }
 
 // DefaultOpTimeout is the per-exchange deadline applied when neither the
@@ -56,9 +51,9 @@ type Client struct {
 // the exchange within this bound instead of blocking the caller forever.
 const DefaultOpTimeout = 30 * time.Second
 
-// serverConn serializes request/response exchanges on one block-server
-// connection. Parallelism across servers comes from having one of these per
-// server, mirroring the original client's thread-per-server design.
+// serverConn serializes the lock-step exchanges — block writes and dataset
+// drops — on one block-server connection. Reads never use it: they ride the
+// server's stripe pool (see stripe.go).
 type serverConn struct {
 	// opTimeout mirrors Client.opTimeout for exchanges whose context has no
 	// deadline; set at dial time, read-only afterwards.
@@ -206,11 +201,7 @@ func (c *Client) serverConnFor(addr string) (*serverConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dpss: dialing block server %s: %w", addr, err)
 	}
-	var out io.Writer = conn
-	if c.shaper != nil || c.latency > 0 {
-		out = netsim.NewShapedConn(conn, c.shaper, c.latency)
-	}
-	sc := &serverConn{opTimeout: c.opTimeout, conn: conn, out: out}
+	sc := &serverConn{opTimeout: c.opTimeout, conn: conn, out: c.wrapConn(conn)}
 	c.conns[addr] = sc
 	return sc, nil
 }
@@ -235,24 +226,17 @@ func (sc *serverConn) callContext(ctx context.Context, msgType byte, payload []b
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	deadline, ok := ctx.Deadline()
-	if !ok && sc.opTimeout > 0 {
-		deadline, ok = time.Now().Add(sc.opTimeout), true
-	}
-	if ok {
-		sc.conn.SetDeadline(deadline) //nolint:errcheck // the exchange below surfaces a dead conn
-	} else {
-		// Clear any deadline a previous exchange left behind.
-		sc.conn.SetDeadline(time.Time{}) //nolint:errcheck
-	}
+	// A zero deadline (no bound) also clears one a previous exchange left.
+	deadline, _, fromCtx := exchangeDeadline(ctx, sc.opTimeout)
+	sc.conn.SetDeadline(deadline) //nolint:errcheck // the exchange below surfaces a dead conn
 	stop := context.AfterFunc(ctx, func() { sc.conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 	if err := writeFrame(sc.out, msgType, payload); err != nil {
-		return nil, &connError{ctxPreferred(ctx, err)}
+		return nil, &connError{ctxPreferred(ctx, fromCtx, err)}
 	}
 	respType, resp, err := readFrame(sc.conn)
 	if err != nil {
-		return nil, &connError{ctxPreferred(ctx, err)}
+		return nil, &connError{ctxPreferred(ctx, fromCtx, err)}
 	}
 	if respType == msgError {
 		return nil, interpretError(string(resp))
@@ -280,12 +264,32 @@ func (c *Client) exchange(ctx context.Context, addr string, msgType byte, payloa
 	return resp, err
 }
 
-// ctxPreferred surfaces the context's cancellation as the error cause when an
-// I/O failure was (most likely) induced by it, so callers can errors.Is
-// against context.Canceled instead of parsing deadline errors.
-func ctxPreferred(ctx context.Context, err error) error {
+// exchangeDeadline is the socket deadline for one exchange: the ctx's own
+// deadline when it has one (fromCtx), else now + opTimeout. ok is false — and
+// deadline the zero time, which clears any earlier one — when neither bounds
+// the exchange.
+func exchangeDeadline(ctx context.Context, opTimeout time.Duration) (deadline time.Time, ok, fromCtx bool) {
+	if deadline, ok := ctx.Deadline(); ok {
+		return deadline, true, true
+	}
+	if opTimeout > 0 {
+		return time.Now().Add(opTimeout), true, false
+	}
+	return time.Time{}, false, false
+}
+
+// ctxPreferred surfaces the context as the error cause when an I/O failure
+// was (most likely) induced by it, so callers can errors.Is against
+// context.Canceled or context.DeadlineExceeded instead of parsing deadline
+// errors. fromCtx says the socket deadline was the ctx's own: that deadline
+// can fire a hair before ctx.Err() turns non-nil, so a socket timeout on it
+// is the ctx's deadline whatever ctx.Err() reads yet.
+func ctxPreferred(ctx context.Context, fromCtx bool, err error) error {
 	if ctxErr := ctx.Err(); ctxErr != nil {
-		return fmt.Errorf("dpss: read aborted: %w", ctxErr)
+		return fmt.Errorf("dpss: exchange aborted: %w", ctxErr)
+	}
+	if fromCtx && errors.Is(err, os.ErrDeadlineExceeded) {
+		return fmt.Errorf("dpss: exchange aborted: %w", context.DeadlineExceeded)
 	}
 	return err
 }
@@ -415,15 +419,10 @@ func (c *Client) writeBlock(ctx context.Context, info DatasetInfo, block int64, 
 
 // ClientStats summarizes client activity.
 type ClientStats struct {
-	// BytesRead is the raw (decompressed) data volume delivered to callers.
+	// BytesRead is the data volume delivered to callers.
 	BytesRead int64
 	Reads     int64
 	Servers   int
-	// WireBytes is the volume that actually crossed the network for
-	// compressed reads; CompressedReads counts how many block reads used the
-	// wire-level compression extension.
-	WireBytes       int64
-	CompressedReads int64
 }
 
 // Stats returns a snapshot of the client's counters.
@@ -437,10 +436,7 @@ func (c *Client) Stats() ClientStats {
 	for addr := range c.pools {
 		servers[addr] = struct{}{}
 	}
-	return ClientStats{
-		BytesRead: c.bytesRead, Reads: c.reads, Servers: len(servers),
-		WireBytes: c.wireBytes, CompressedReads: c.compressedReads,
-	}
+	return ClientStats{BytesRead: c.bytesRead, Reads: c.reads, Servers: len(servers)}
 }
 
 // Close tears down every connection, failing any exchange still in flight.

@@ -3,6 +3,7 @@ package dpss
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -12,10 +13,14 @@ import (
 // stalledBlockServer is a fake DPSS block server that accepts connections and
 // reads requests but, while stalled, never replies — the shape of a wedged or
 // partitioned server that used to pin a back-end PE until the next frame
-// boundary. Unstalled, it serves zero-filled blocks of the advertised size.
+// boundary. Unstalled, it answers msgReadv with a sequenced msgOK2 of
+// zero-filled blocks of the advertised size and msgWriteBlock with msgOK.
+// With hangup set it closes the connection on the next request instead — a
+// peer that dies mid-exchange.
 type stalledBlockServer struct {
 	l       net.Listener
 	stalled atomic.Bool
+	hangup  atomic.Bool
 	block   []byte
 }
 
@@ -43,24 +48,59 @@ func newStalledBlockServer(t *testing.T, blockSize int) *stalledBlockServer {
 func (s *stalledBlockServer) serve(conn net.Conn) {
 	defer conn.Close()
 	for {
-		if _, _, err := readFrame(conn); err != nil {
+		msgType, payload, err := readFrame(conn)
+		if err != nil || s.hangup.Load() {
 			return
 		}
 		if s.stalled.Load() {
 			// Swallow the request: the client's read blocks until its
-			// context poisons the connection.
+			// context or op timeout gives up on the connection.
 			continue
 		}
-		if err := writeFrame(conn, msgOK, s.block); err != nil {
+		switch msgType {
+		case msgReadv:
+			respType, body := readvReply(payload, func(string, int64) ([]byte, error) { return s.block, nil })
+			err = writeFrame(conn, respType, body)
+		case msgWriteBlock:
+			err = writeFrame(conn, msgOK, nil)
+		default:
+			err = writeFrame(conn, msgError, []byte("dpss: unexpected message"))
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
+// readvReply answers one msgReadv payload (seq prefix first) the way a block
+// server does: a sequenced msgOK2 carrying every extent cut from the block
+// read returns, or a sequenced msgError2.
+func readvReply(payload []byte, read func(dataset string, block int64) ([]byte, error)) (msgType byte, body []byte) {
+	if len(payload) < 4 {
+		return msgError, []byte("dpss: short sequenced request")
+	}
+	body = append(body, payload[:4]...)
+	dataset, exts, err := decodeReadvRequest(payload[4:])
+	for i := 0; err == nil && i < len(exts); i++ {
+		x := exts[i]
+		var data []byte
+		if data, err = read(dataset, x.block); err == nil && int(x.off)+int(x.n) > len(data) {
+			err = fmt.Errorf("%w: extent outside block %d", ErrProtocol, x.block)
+		}
+		if err == nil {
+			body = append(body, data[x.off:x.off+x.n]...)
+		}
+	}
+	if err != nil {
+		return msgError2, append(body[:4], err.Error()...)
+	}
+	return msgOK2, body
+}
+
 // TestReadAtContextCancelsStalledRead is the regression test for the
 // context-aware DPSS read path: a cancelled context must abort a block read
 // that is blocked on a stalled server immediately, not wait for the server to
-// come back, and the poisoned connection must not be reused afterwards.
+// come back, and the stripe pool must serve the next read once it does.
 func TestReadAtContextCancelsStalledRead(t *testing.T) {
 	const blockSize = 1024
 	srv := newStalledBlockServer(t, blockSize)
@@ -101,12 +141,11 @@ func TestReadAtContextCancelsStalledRead(t *testing.T) {
 		t.Fatalf("cancellation took %v, want prompt abort", elapsed)
 	}
 
-	// The aborted exchange left its connection mid-frame; it must have been
-	// discarded. Once the server behaves, a fresh read must succeed on a
-	// newly dialed connection instead of failing on the poisoned one.
+	// The withdrawn request never gets an answer, but it must not wedge
+	// the stripe pool: once the server behaves, a fresh read succeeds.
 	srv.stalled.Store(false)
 	if _, err := f.ReadAtContext(context.Background(), buf, 0); err != nil {
-		t.Fatalf("read after recovery: %v (poisoned connection reused?)", err)
+		t.Fatalf("read after recovery: %v", err)
 	}
 }
 

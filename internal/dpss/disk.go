@@ -11,9 +11,8 @@ import (
 // model adds a seek latency plus size/rate delay per access so that
 // disk-level parallelism is observable in throughput experiments.
 type Disk struct {
-	mu sync.Mutex
-	// blocks maps "dataset/blockID" to block contents.
-	blocks map[string][]byte
+	mu     sync.Mutex
+	blocks map[blockKey][]byte
 
 	// ServiceRate is the sustained transfer rate in bytes per second; zero
 	// disables the delay model (tests and functional examples).
@@ -29,7 +28,7 @@ type Disk struct {
 
 // NewDisk returns an empty in-memory disk with no delay model.
 func NewDisk() *Disk {
-	return &Disk{blocks: make(map[string][]byte)}
+	return &Disk{blocks: make(map[blockKey][]byte)}
 }
 
 // NewDiskWithModel returns a disk whose accesses are paced by the given
@@ -41,8 +40,11 @@ func NewDiskWithModel(serviceRate float64, seek time.Duration) *Disk {
 	return d
 }
 
-func blockKey(dataset string, block int64) string {
-	return fmt.Sprintf("%s/%d", dataset, block)
+// blockKey names one stored block. Keying on the pair, not a joined string,
+// keeps dataset "a" from matching the blocks of dataset "a/b".
+type blockKey struct {
+	dataset string
+	block   int64
 }
 
 // delay sleeps for the modelled access time of a transfer of n bytes.
@@ -61,7 +63,7 @@ func (d *Disk) WriteBlock(dataset string, block int64, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	d.mu.Lock()
-	d.blocks[blockKey(dataset, block)] = cp
+	d.blocks[blockKey{dataset, block}] = cp
 	d.bytesWritten += int64(len(data))
 	d.writes++
 	d.mu.Unlock()
@@ -70,7 +72,7 @@ func (d *Disk) WriteBlock(dataset string, block int64, data []byte) {
 // ReadBlock returns a copy of a stored block, or ErrUnknownBlock.
 func (d *Disk) ReadBlock(dataset string, block int64) ([]byte, error) {
 	d.mu.Lock()
-	data, ok := d.blocks[blockKey(dataset, block)]
+	data, ok := d.blocks[blockKey{dataset, block}]
 	d.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s block %d", ErrUnknownBlock, dataset, block)
@@ -89,19 +91,18 @@ func (d *Disk) ReadBlock(dataset string, block int64) ([]byte, error) {
 func (d *Disk) HasBlock(dataset string, block int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.blocks[blockKey(dataset, block)]
+	_, ok := d.blocks[blockKey{dataset, block}]
 	return ok
 }
 
 // DropDataset removes every block of the named dataset and returns how many
 // blocks were evicted, supporting the cache role of the DPSS.
 func (d *Disk) DropDataset(dataset string) int {
-	prefix := dataset + "/"
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	dropped := 0
 	for k := range d.blocks {
-		if len(k) > len(prefix) && k[:len(prefix)] == prefix {
+		if k.dataset == dataset {
 			delete(d.blocks, k)
 			dropped++
 		}

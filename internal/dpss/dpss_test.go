@@ -18,14 +18,14 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello dpss")
-	if err := writeFrame(&buf, msgReadBlock, payload); err != nil {
+	if err := writeFrame(&buf, msgWriteBlock, payload); err != nil {
 		t.Fatal(err)
 	}
 	msgType, got, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgType != msgReadBlock || !bytes.Equal(got, payload) {
+	if msgType != msgWriteBlock || !bytes.Equal(got, payload) {
 		t.Errorf("round trip = %d %q", msgType, got)
 	}
 }

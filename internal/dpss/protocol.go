@@ -9,9 +9,9 @@
 //   - disk level: each block server stripes its blocks over several disks;
 //   - server level: a dataset's logical blocks are striped round-robin over
 //     all block servers, so a single client read fans out to every server;
-//   - network level: the client library keeps one connection (and one
-//     goroutine) per server, so transfers proceed in parallel, which is the
-//     property the Visapult back end's parallel data loading exploits.
+//   - network level: the client library reads each server over a pool of
+//     striped, pipelined connections, so transfers proceed in parallel, which
+//     is the property the Visapult back end's parallel data loading exploits.
 //
 // A Master keeps the dataset catalog (logical-to-physical block mapping,
 // access control, load balancing across servers); BlockServers store and
@@ -41,11 +41,11 @@ const (
 	msgList     = byte(5) // catalog listing: response = count + dataset names
 	msgRemove   = byte(6) // drop a dataset from the catalog: payload = name (idempotent)
 
-	// Client/loader -> block server.
-	msgReadBlock   = byte(10) // payload = dataset name + logical block id
+	// Loader -> block server. Reads go through msgReadv (see readv.go);
+	// types 10, 12, 14 and 15 belonged to retired read ops and are answered
+	// msgError like any other unknown type.
 	msgWriteBlock  = byte(11) // payload = dataset name + logical block id + data
 	msgDropDataset = byte(13) // evict a dataset's blocks: payload = dataset name; response = evicted count
-	// (12 is msgReadBlockZ, the compressed read; see compress.go.)
 
 	// Responses.
 	msgOK    = byte(20)

@@ -1,43 +1,29 @@
 package dpss
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// Protocol v2: the striped, pipelined read path.
+// The block-server read path: one sequenced, vectored op.
 //
 // The paper's DPSS client keeps several parallel TCP streams per block server
-// and pipelines block requests over them so the WAN pipe stays full. Wire v2
-// reproduces that: requests carry a client-chosen sequence number, the server
-// answers out of order as its disks allow, and a vectored read (msgReadv)
-// batches many small (block, offset, length) extents into one exchange so the
-// general row-by-row region case costs a handful of frames instead of one
-// round-trip per row.
-//
-// Negotiation is a client-side probe: a v2 client opens each stripe
-// connection with msgHello. A v2 server replies msgOK with its wire version;
-// a v1 server falls through its message switch and replies msgError
-// ("unexpected message"), which the client treats as "speak v1 on this
-// server" — lock-step request/response per stripe, still parallel across
-// stripes. The server itself stays stateless about versions: it simply
-// understands both message families on any connection.
+// and pipelines block requests over them so the WAN pipe stays full. Every
+// read here is a msgReadv: the request carries a client-chosen sequence
+// number and a batch of (block, offset, length) extents, the server answers
+// out of order as its disks allow, and the reply echoes the sequence number
+// — msgOK2 with the extents' bytes concatenated in request order, or
+// msgError2 with an error string. A whole block is simply a one-extent
+// batch, and a general region read costs a handful of frames instead of one
+// round trip per row. Any other reply to a sequenced request is a protocol
+// error that kills the connection (see stripeConn.readLoop).
 const (
-	// Client -> block server (v2).
-	msgHello = byte(14) // payload = client wire version (u32); response = msgOK + server version (u32)
-	msgRead2 = byte(15) // payload = seq (u32) + dataset name + logical block id
+	// Client -> block server.
 	msgReadv = byte(16) // payload = seq (u32) + dataset name + extent count + extents
 
-	// Block server -> client (v2). Both carry the request's seq first.
+	// Block server -> client. Both carry the request's seq first.
 	msgOK2    = byte(22) // payload = seq (u32) + data
 	msgError2 = byte(23) // payload = seq (u32) + error string
-)
-
-// Wire protocol versions for the block-server data path.
-const (
-	wireV1 = 1
-	wireV2 = 2
 )
 
 // Vectored-read bounds. A msgReadv request may carry at most MaxReadvExtents
@@ -140,23 +126,6 @@ func scatterExtents(r io.Reader, dsts [][]byte, refresh func()) error {
 		}
 	}
 	return nil
-}
-
-// appendHello encodes a msgHello payload.
-func appendHello(buf []byte, version uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], version)
-	return append(buf, b[:]...)
-}
-
-// decodeHello decodes a msgHello payload or a hello msgOK response. Anything
-// but exactly one u32 is a protocol error — which the client also uses to
-// classify pre-v2 fakes that answer hello with block data.
-func decodeHello(payload []byte) (uint32, error) {
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("%w: hello payload of %d bytes", ErrProtocol, len(payload))
-	}
-	return binary.BigEndian.Uint32(payload), nil
 }
 
 // splitExtents validates caller extents against the dataset layout and splits

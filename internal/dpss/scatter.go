@@ -2,18 +2,15 @@ package dpss
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
 
 // ReadvScatter reads every extent into its destination slice in one vectored
 // pass: extents are split at block boundaries, grouped per block server,
-// batched into msgReadv exchanges and striped over each server's connection
-// pool. A v2 server streams each batch back in a single bounded write and
-// the client scatters the bytes straight from the socket into the caller's
-// buffers — no per-block allocation. Against a v1 server the client falls
-// back transparently to lock-step whole-block reads, still fanned out over
-// the stripe pool.
+// batched into msgReadv exchanges and pipelined over each server's stripe
+// pool. The server streams each batch back in a single bounded write and the
+// client scatters the bytes straight from the socket into the caller's
+// buffers — no per-block allocation.
 //
 // On error some destinations may hold partial data, but by the time the call
 // returns no goroutine will write into any destination slice again, so
@@ -59,9 +56,6 @@ func (c *Client) readvScatter(ctx context.Context, info DatasetInfo, exts []Exte
 	if len(exts) == 0 {
 		return nil
 	}
-	if c.compress > 0 {
-		return c.scatterCompressed(ctx, info, exts)
-	}
 	per := perServerPool.Get().(map[string][]blockExtent)
 	defer putPerServer(per)
 	if err := splitExtents(info, exts, per); err != nil {
@@ -69,7 +63,7 @@ func (c *Client) readvScatter(ctx context.Context, info DatasetInfo, exts []Exte
 	}
 	if len(per) == 1 {
 		for addr, list := range per {
-			return c.scatterServer(ctx, info, addr, list)
+			return c.scatterServer(ctx, addr, info.Name, list)
 		}
 	}
 	var (
@@ -85,7 +79,7 @@ func (c *Client) readvScatter(ctx context.Context, info DatasetInfo, exts []Exte
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := c.scatterServer(ctx, info, addr, list); err != nil {
+			if err := c.scatterServer(ctx, addr, info.Name, list); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -98,9 +92,12 @@ func (c *Client) readvScatter(ctx context.Context, info DatasetInfo, exts []Exte
 	return firstErr
 }
 
-// scatterServer serves one server's share of a vectored read, choosing the
-// pipelined or the lock-step path by the server's negotiated wire version.
-func (c *Client) scatterServer(ctx context.Context, info DatasetInfo, addr string, list []blockExtent) error {
+// scatterServer serves one server's share of a vectored read: it batches
+// the extent list under the protocol's extent-count and byte bounds, stripes
+// the batches round-robin over the server's pool, pipelines them all, then
+// waits for every response. Batches already in flight are always waited for
+// — even after an error — so the no-writes-after-return guarantee holds.
+func (c *Client) scatterServer(ctx context.Context, addr, name string, list []blockExtent) error {
 	if len(list) == 0 {
 		return nil
 	}
@@ -108,22 +105,6 @@ func (c *Client) scatterServer(ctx context.Context, info DatasetInfo, addr strin
 	if err != nil {
 		return err
 	}
-	ver, err := p.version(ctx)
-	if err != nil {
-		return err
-	}
-	if ver < wireV2 {
-		return c.scatterServerV1(ctx, p, info, list)
-	}
-	return c.scatterServerV2(ctx, p, info, list)
-}
-
-// scatterServerV2 batches the extent list under the protocol's extent-count
-// and byte bounds, stripes the batches round-robin over the pool, pipelines
-// them all, then waits for every response. Batches already in flight are
-// always waited for — even after an error — so the no-writes-after-return
-// guarantee holds.
-func (c *Client) scatterServerV2(ctx context.Context, p *stripePool, info DatasetInfo, list []blockExtent) error {
 	type batch struct {
 		call  *stripeCall
 		dsts  *[][]byte
@@ -174,21 +155,8 @@ func (c *Client) scatterServerV2(ctx context.Context, p *stripePool, info Datase
 		for _, x := range chunk {
 			*dsts = append(*dsts, x.dst)
 		}
-		var (
-			call *stripeCall
-			err  error
-		)
-		if len(chunk) == 1 && chunk[0].off == 0 && int(chunk[0].n) == info.BlockLen(chunk[0].block) {
-			// A single whole block: the simple pipelined read.
-			e := encoder{buf: (*reqBuf)[:0]}
-			e.str(info.Name)
-			e.u64(uint64(chunk[0].block))
-			*reqBuf = e.buf
-			call, err = p.pick().start(ctx, msgRead2, *reqBuf, *dsts)
-		} else {
-			*reqBuf = appendReadvRequest((*reqBuf)[:0], info.Name, chunk)
-			call, err = p.pick().start(ctx, msgReadv, *reqBuf, *dsts)
-		}
+		*reqBuf = appendReadvRequest((*reqBuf)[:0], name, chunk)
+		call, err := p.pick().start(ctx, *reqBuf, *dsts)
 		if err != nil {
 			*dsts = (*dsts)[:0]
 			dstsPool.Put(dsts)
@@ -221,126 +189,5 @@ func (c *Client) scatterServerV2(ctx context.Context, p *stripePool, info Datase
 		c.reads += doneReads
 		c.mu.Unlock()
 	}
-	return firstErr
-}
-
-// scatterServerV1 serves a scatter batch from a v1 block server: whole-block
-// lock-step reads fanned out over the stripe pool, copied into the
-// destinations. One round-trip and one allocation per distinct block — the
-// old cost model — but correct against any pre-v2 server.
-func (c *Client) scatterServerV1(ctx context.Context, p *stripePool, info DatasetInfo, list []blockExtent) error {
-	byBlock := make(map[int64][]blockExtent, len(list))
-	order := make([]int64, 0, len(list))
-	for _, x := range list {
-		if _, ok := byBlock[x.block]; !ok {
-			order = append(order, x.block)
-		}
-		byBlock[x.block] = append(byBlock[x.block], x)
-	}
-	err := c.scatterBlockwise(ctx, byBlock, order, len(p.stripes), func(worker int, block int64) ([]byte, error) {
-		e := &encoder{}
-		e.str(info.Name)
-		e.u64(uint64(block))
-		data, err := p.stripes[worker].callV1(ctx, msgReadBlock, e.buf)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.bytesRead += int64(len(data))
-		c.reads++
-		c.mu.Unlock()
-		return data, nil
-	})
-	return err
-}
-
-// scatterCompressed serves a vectored read for a compression-enabled client:
-// whole blocks travel the DEFLATE read path (which keeps its own lock-step
-// control connection and wire statistics) and the extents are copied out of
-// the inflated blocks, with the same bounded fan-out as the v1 path.
-func (c *Client) scatterCompressed(ctx context.Context, info DatasetInfo, exts []Extent) error {
-	per := perServerPool.Get().(map[string][]blockExtent)
-	defer putPerServer(per)
-	if err := splitExtents(info, exts, per); err != nil {
-		return err
-	}
-	byBlock := make(map[int64][]blockExtent)
-	order := make([]int64, 0, len(byBlock))
-	for _, list := range per {
-		for _, x := range list {
-			if _, ok := byBlock[x.block]; !ok {
-				order = append(order, x.block)
-			}
-			byBlock[x.block] = append(byBlock[x.block], x)
-		}
-	}
-	workers := c.stripes
-	if workers < 1 {
-		workers = 1
-	}
-	return c.scatterBlockwise(ctx, byBlock, order, workers, func(_ int, block int64) ([]byte, error) {
-		return c.readBlockCompressed(ctx, info, block)
-	})
-}
-
-// scatterBlockwise fetches each block of byBlock once through read (with a
-// bounded worker fan-out — never a goroutine per block) and copies the
-// block's extents into their destinations. After the first error remaining
-// blocks are skipped, not fetched.
-func (c *Client) scatterBlockwise(ctx context.Context, byBlock map[int64][]blockExtent, order []int64, workers int, read func(worker int, block int64) ([]byte, error)) error {
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	blockCh := make(chan int64)
-	for i := 0; i < workers; i++ {
-		worker := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for block := range blockCh {
-				if failed() {
-					continue
-				}
-				data, err := read(worker, block)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				for _, x := range byBlock[block] {
-					if int(x.off)+int(x.n) > len(data) {
-						fail(fmt.Errorf("%w: block %d returned %d bytes, extent wants [%d,+%d)",
-							ErrProtocol, block, len(data), x.off, x.n))
-						break
-					}
-					copy(x.dst, data[x.off:int(x.off)+int(x.n)])
-				}
-			}
-		}()
-	}
-	for _, b := range order {
-		blockCh <- b
-	}
-	close(blockCh)
-	wg.Wait()
 	return firstErr
 }

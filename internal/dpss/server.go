@@ -26,8 +26,8 @@ type BlockServer struct {
 	// connShaper, when set, gives each accepted connection its own shaper.
 	connShaper func() *netsim.Shaper
 	logger     *netlogger.Logger
-	// pipeWorkers bounds per-connection service concurrency on the v2
-	// pipelined path; see WithPipelineWorkers.
+	// pipeWorkers bounds per-connection msgReadv service concurrency; see
+	// WithPipelineWorkers.
 	pipeWorkers int
 	served      int64 // bytes sent to clients
 	stored      int64 // bytes written by loaders
@@ -171,8 +171,8 @@ func (s *BlockServer) serveConn(conn net.Conn) {
 	} else if s.shaper != nil {
 		out = netsim.NewShapedConn(conn, s.shaper, 0)
 	}
-	// pipe serves this conn's sequenced (v2) requests out of order through a
-	// bounded worker pool; created on the first such request, joined on exit.
+	// pipe serves this conn's msgReadv requests out of order through a
+	// bounded worker pool; created on the first one, joined on exit.
 	var pipe *connPipeline
 	defer func() {
 		if pipe != nil {
@@ -188,48 +188,19 @@ func (s *BlockServer) serveConn(conn net.Conn) {
 		s.reqs++
 		s.mu.Unlock()
 		switch msgType {
-		case msgReadBlock:
-			s.handleRead(out, payload)
-		case msgReadBlockZ:
-			s.handleReadCompressed(out, payload)
 		case msgWriteBlock:
 			s.handleWrite(out, payload)
 		case msgDropDataset:
 			s.handleDrop(out, payload)
-		case msgHello:
-			s.handleHello(out, payload)
-		case msgRead2, msgReadv:
+		case msgReadv:
 			if pipe == nil {
 				pipe = s.startPipeline(out)
 			}
-			pipe.enqueue(msgType, payload)
+			pipe.enqueue(payload)
 		default:
 			s.replyError(out, fmt.Errorf("%w: unexpected message %d", ErrProtocol, msgType))
 		}
 	}
-}
-
-func (s *BlockServer) handleRead(out net.Conn, payload []byte) {
-	d := &decoder{buf: payload}
-	dataset := d.str()
-	block := int64(d.u64())
-	if d.err != nil {
-		s.replyError(out, d.err)
-		return
-	}
-	data, err := s.diskFor(block).ReadBlock(dataset, block)
-	if err != nil {
-		s.replyError(out, err)
-		return
-	}
-	if s.logger != nil {
-		s.logger.Log("DPSS_BLOCK_READ", netlogger.Str("DATASET", dataset),
-			netlogger.Int64("BLOCK", block), netlogger.Int64(netlogger.FieldBytes, int64(len(data))))
-	}
-	s.mu.Lock()
-	s.served += int64(len(data))
-	s.mu.Unlock()
-	reply(out, msgOK, data)
 }
 
 func (s *BlockServer) handleWrite(out net.Conn, payload []byte) {

@@ -6,16 +6,18 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"visapult/internal/netlogger"
 )
 
-// DefaultPipelineWorkers is how many v2 requests one client connection may
-// have in service concurrently unless WithPipelineWorkers overrides it.
+// DefaultPipelineWorkers is how many msgReadv requests one client connection
+// may have in service concurrently unless WithPipelineWorkers overrides it.
 const DefaultPipelineWorkers = 4
 
-// WithPipelineWorkers sets the per-connection service concurrency of the v2
-// pipelined path (minimum 1): a bounded queue feeds this many workers, so
-// the server answers sequenced requests out of order as its disks allow
-// while a flood of requests can never spawn unbounded goroutines.
+// WithPipelineWorkers sets the per-connection msgReadv service concurrency
+// (minimum 1): a bounded queue feeds this many workers, so the server answers
+// sequenced requests out of order as its disks allow while a flood of
+// requests can never spawn unbounded goroutines.
 func WithPipelineWorkers(n int) ServerOption {
 	return func(s *BlockServer) {
 		if n >= 1 {
@@ -24,33 +26,17 @@ func WithPipelineWorkers(n int) ServerOption {
 	}
 }
 
-// handleHello answers a v2 client's version probe. (A v1 server predates
-// this message and answers msgError through its default case — exactly the
-// signal the client's transparent fallback keys on.)
-func (s *BlockServer) handleHello(out net.Conn, payload []byte) {
-	if _, err := decodeHello(payload); err != nil {
-		s.replyError(out, err)
-		return
-	}
-	reply(out, msgOK, appendHello(nil, wireV2))
-}
-
-// connPipeline serves one connection's sequenced (v2) requests: a bounded
-// queue feeds a small worker pool, replies serialize over the conn under a
-// write lock, and requests complete in whatever order the disks allow. It is
-// created lazily on the first v2 request and joined when the conn's read
-// loop exits.
+// connPipeline serves one connection's msgReadv requests: a bounded queue
+// feeds a small worker pool, replies serialize over the conn under a write
+// lock, and requests complete in whatever order the disks allow. It is
+// created lazily on the first msgReadv and joined when the conn's read loop
+// exits.
 type connPipeline struct {
 	s   *BlockServer
 	out net.Conn
-	req chan pipeReq
+	req chan []byte // request payloads, seq prefix first
 	wg  sync.WaitGroup
 	wmu sync.Mutex // serializes response writes on out
-}
-
-type pipeReq struct {
-	msgType byte
-	payload []byte
 }
 
 // startPipeline spins up the worker pool for one connection.
@@ -59,7 +45,7 @@ func (s *BlockServer) startPipeline(out net.Conn) *connPipeline {
 	if workers < 1 {
 		workers = DefaultPipelineWorkers
 	}
-	p := &connPipeline{s: s, out: out, req: make(chan pipeReq, 2*workers)}
+	p := &connPipeline{s: s, out: out, req: make(chan []byte, 2*workers)}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go func() {
@@ -74,8 +60,8 @@ func (s *BlockServer) startPipeline(out net.Conn) *connPipeline {
 
 // enqueue hands one request to the pool, blocking (backpressure on the
 // conn's read loop) when all workers are busy and the queue is full.
-func (p *connPipeline) enqueue(msgType byte, payload []byte) {
-	p.req <- pipeReq{msgType: msgType, payload: payload}
+func (p *connPipeline) enqueue(payload []byte) {
+	p.req <- payload
 }
 
 // stop closes the queue and joins the workers; called when the conn's read
@@ -85,48 +71,17 @@ func (p *connPipeline) stop() {
 	p.wg.Wait()
 }
 
-// serve dispatches one sequenced request. Every v2 request leads with the
-// u32 sequence number its response must echo.
-func (p *connPipeline) serve(r pipeReq) {
-	if len(r.payload) < 4 {
-		p.replyErr2(0, fmt.Errorf("%w: sequenced request of %d bytes", ErrProtocol, len(r.payload)))
+// serve answers one msgReadv, whose payload leads with the u32 sequence
+// number its response must echo: every extent is cut from its block (each
+// distinct block is read from disk once — the client sends extents in block
+// order) and the concatenated data streams back in one bounded write.
+func (p *connPipeline) serve(payload []byte) {
+	if len(payload) < 4 {
+		p.replyErr2(0, fmt.Errorf("%w: sequenced request of %d bytes", ErrProtocol, len(payload)))
 		return
 	}
-	seq := binary.BigEndian.Uint32(r.payload)
-	body := r.payload[4:]
-	switch r.msgType {
-	case msgRead2:
-		p.serveRead2(seq, body)
-	case msgReadv:
-		p.serveReadv(seq, body)
-	}
-}
-
-// serveRead2 answers a pipelined single-block read.
-func (p *connPipeline) serveRead2(seq uint32, body []byte) {
-	d := &decoder{buf: body}
-	dataset := d.str()
-	block := int64(d.u64())
-	if d.err != nil {
-		p.replyErr2(seq, d.err)
-		return
-	}
-	data, err := p.s.diskFor(block).ReadBlock(dataset, block)
-	if err != nil {
-		p.replyErr2(seq, err)
-		return
-	}
-	p.s.mu.Lock()
-	p.s.served += int64(len(data))
-	p.s.mu.Unlock()
-	p.reply2(msgOK2, seq, data)
-}
-
-// serveReadv answers a vectored read: every extent is cut from its block
-// (each distinct block is read from disk once — the client sends extents in
-// block order) and the concatenated data streams back in one bounded write.
-func (p *connPipeline) serveReadv(seq uint32, body []byte) {
-	dataset, exts, err := decodeReadvRequest(body)
+	seq := binary.BigEndian.Uint32(payload)
+	dataset, exts, err := decodeReadvRequest(payload[4:])
 	if err != nil {
 		p.replyErr2(seq, err)
 		return
@@ -143,6 +98,10 @@ func (p *connPipeline) serveReadv(seq uint32, body []byte) {
 				return
 			}
 			lastBlock, lastData = x.block, data
+			if l := p.s.logger; l != nil {
+				l.Log("DPSS_BLOCK_READ", netlogger.Str("DATASET", dataset),
+					netlogger.Int64("BLOCK", x.block), netlogger.Int64(netlogger.FieldBytes, int64(len(data))))
+			}
 		}
 		if int(x.off)+int(x.n) > len(lastData) {
 			p.replyErr2(seq, fmt.Errorf("%w: extent [%d,+%d) outside block %d (%d bytes)",

@@ -3,9 +3,11 @@ package dpss
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -35,7 +37,7 @@ func patternData(n int) []byte {
 
 // TestReadvScatterEndToEnd stages a multi-block dataset on a live cluster and
 // reads it back through the vectored scatter path with extents that straddle
-// block and server boundaries, over several stripes — the pipelined v2 wire.
+// block and server boundaries, pipelined over several stripes.
 func TestReadvScatterEndToEnd(t *testing.T) {
 	c := startTestCluster(t, ClusterConfig{Servers: 3, DisksPerServer: 2})
 	data := patternData(300*1024 + 17)
@@ -56,24 +58,20 @@ func TestReadvScatterEndToEnd(t *testing.T) {
 		t.Fatal("vectored read returned different bytes")
 	}
 
-	// The stripe pool negotiated v2 and actually moved bytes.
+	// The stripe pool actually moved the bytes.
 	stats := client.StripeStats()
 	if len(stats) == 0 {
 		t.Fatal("no stripe stats after a vectored read")
 	}
 	var total int64
 	for _, st := range stats {
-		if st.Wire != wireV2 {
-			t.Fatalf("stripe %+v negotiated wire %d, want %d", st, st.Wire, wireV2)
-		}
 		total += st.Bytes
 	}
 	if total < int64(len(data)) {
 		t.Fatalf("stripes carried %d bytes, want >= %d", total, len(data))
 	}
 
-	// A single-stripe client completes the same read (the -stripes 1 interop
-	// guarantee).
+	// A single-stripe client completes the same read.
 	one := c.NewClient(WithStripes(1))
 	defer one.Close()
 	f1, err := one.Open("vec")
@@ -89,28 +87,31 @@ func TestReadvScatterEndToEnd(t *testing.T) {
 	}
 }
 
-// v1BlockServer is a fake pre-v2 DPSS block server: it answers msgReadBlock
-// and msgWriteBlock lock-step and replies msgError to anything newer —
-// exactly how an old server greets a msgHello probe. It also tracks the peak
-// number of reads in service at once, the lever the bounded-fan-out
-// regression test asserts on.
-type v1BlockServer struct {
-	l    net.Listener
-	disk *Disk
-	hold time.Duration
+// v2BlockServer is a fake DPSS block server that answers msgReadv from its
+// own disk with a sequenced msgOK2, holding each request for a while in its
+// own goroutine so pipelined requests overlap. It records the peak number of
+// requests outstanding at once — received and not yet answered — the lever
+// the bounded-fan-out test asserts on. With unsequenced set it answers
+// msgReadv with a plain msgError frame instead.
+type v2BlockServer struct {
+	l           net.Listener
+	disk        *Disk
+	hold        time.Duration
+	unsequenced atomic.Bool
 
-	mu       sync.Mutex
-	inflight int
-	peak     int
+	mu          sync.Mutex
+	outstanding int
+	peak        int
+	requests    int
 }
 
-func newV1BlockServer(t *testing.T, hold time.Duration) *v1BlockServer {
+func newV2BlockServer(t *testing.T, hold time.Duration) *v2BlockServer {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	s := &v1BlockServer{l: l, disk: NewDisk(), hold: hold}
+	s := &v2BlockServer{l: l, disk: NewDisk(), hold: hold}
 	t.Cleanup(func() { l.Close() })
 	go func() {
 		for {
@@ -124,69 +125,54 @@ func newV1BlockServer(t *testing.T, hold time.Duration) *v1BlockServer {
 	return s
 }
 
-func (s *v1BlockServer) serve(conn net.Conn) {
+func (s *v2BlockServer) serve(conn net.Conn) {
 	defer conn.Close()
+	var wmu sync.Mutex // serializes reply frames on conn
+	write := func(msgType byte, body []byte) {
+		wmu.Lock()
+		defer wmu.Unlock()
+		writeFrame(conn, msgType, body) //nolint:errcheck // a dead conn fails the client's read
+	}
 	for {
 		msgType, payload, err := readFrame(conn)
 		if err != nil {
 			return
 		}
-		switch msgType {
-		case msgReadBlock:
-			s.track(1)
-			d := &decoder{buf: payload}
-			dataset := d.str()
-			block := int64(d.u64())
-			var data []byte
-			if d.err == nil {
-				data, err = s.disk.ReadBlock(dataset, block)
-			} else {
-				err = d.err
-			}
-			if s.hold > 0 {
-				time.Sleep(s.hold)
-			}
-			s.track(-1)
-			if err != nil {
-				writeFrame(conn, msgError, []byte(err.Error())) //nolint:errcheck
-				continue
-			}
-			if werr := writeFrame(conn, msgOK, data); werr != nil {
-				return
-			}
-		default:
-			// A pre-v2 server has no idea what msgHello or msgReadv are.
-			if werr := writeFrame(conn, msgError, []byte("dpss: unexpected message")); werr != nil {
-				return
-			}
+		if msgType != msgReadv || s.unsequenced.Load() {
+			write(msgError, []byte("dpss: unexpected message"))
+			continue
 		}
+		s.mu.Lock()
+		s.requests++
+		s.outstanding++
+		s.peak = max(s.peak, s.outstanding)
+		s.mu.Unlock()
+		go func() {
+			respType, body := readvReply(payload, s.disk.ReadBlock)
+			time.Sleep(s.hold)
+			// Answered once the reply starts: the client frees the window
+			// slot only after reading it, so a request sent in that slot
+			// can never arrive before this decrement.
+			s.mu.Lock()
+			s.outstanding--
+			s.mu.Unlock()
+			write(respType, body)
+		}()
 	}
 }
 
-func (s *v1BlockServer) track(d int) {
-	s.mu.Lock()
-	s.inflight += d
-	if s.inflight > s.peak {
-		s.peak = s.inflight
-	}
-	s.mu.Unlock()
-}
-
-func (s *v1BlockServer) peakInflight() int {
+func (s *v2BlockServer) counts() (peak, requests int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.peak
+	return s.peak, s.requests
 }
 
-// v1File wires a File directly to a fake v1 server (no master involved),
+// v2File wires a File directly to a fake server (no master involved),
 // pre-loading the fake's disk with the dataset's blocks.
-func v1File(t *testing.T, srv *v1BlockServer, client *Client, name string, data []byte, blockSize int) *File {
+func v2File(t *testing.T, srv *v2BlockServer, client *Client, name string, data []byte, blockSize int) *File {
 	t.Helper()
 	for b := 0; b*blockSize < len(data); b++ {
-		end := (b + 1) * blockSize
-		if end > len(data) {
-			end = len(data)
-		}
+		end := min((b+1)*blockSize, len(data))
 		srv.disk.WriteBlock(name, int64(b), data[b*blockSize:end])
 	}
 	return &File{client: client, info: DatasetInfo{
@@ -195,56 +181,23 @@ func v1File(t *testing.T, srv *v1BlockServer, client *Client, name string, data 
 	}}
 }
 
-// TestReadvScatterV1Fallback proves the transparent downgrade: against a
-// server that predates the vectored protocol the same ReadvScatter call
-// completes every extent via lock-step whole-block reads, and the stripe
-// stats record the negotiated v1 wire.
-func TestReadvScatterV1Fallback(t *testing.T) {
-	srv := newV1BlockServer(t, 0)
-	client := NewClient("127.0.0.1:1", WithStripes(2)) // master never contacted
-	defer client.Close()
-	data := patternData(100 * 1024)
-	f := v1File(t, srv, client, "legacy", data, 4<<10)
-
-	got := make([]byte, len(data))
-	if err := f.ReadvScatter(context.Background(), oddExtents(got, 3001)); err != nil {
-		t.Fatalf("ReadvScatter against v1 server: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("v1 fallback returned different bytes")
-	}
-	for _, st := range client.StripeStats() {
-		if st.Wire != wireV1 {
-			t.Fatalf("stripe %+v negotiated wire %d, want %d (v1 fallback)", st, st.Wire, wireV1)
-		}
-	}
-
-	// The plain ReadAtContext path rides the same machinery.
-	buf := make([]byte, 10_000)
-	if n, err := f.ReadAtContext(context.Background(), buf, 1234); err != nil || n != len(buf) {
-		t.Fatalf("ReadAtContext via v1 fallback: n=%d err=%v", n, err)
-	}
-	if !bytes.Equal(buf, data[1234:1234+len(buf)]) {
-		t.Fatal("ReadAtContext via v1 fallback returned different bytes")
-	}
-}
-
 // TestReadAtContextBoundedFanout is the regression test for the old
-// goroutine-per-block fan-out: a 64-block read through a 2-stripe client must
-// never have more than 2 reads in service at the server at once. The fake
-// holds each read open briefly so any unbounded fan-out would be caught
-// red-handed.
+// goroutine-per-block fan-out: a read that batches into more requests than
+// the client's stripes x window must never have more than stripes x window
+// of them outstanding at the server at once. The fake holds each request
+// briefly so any unbounded fan-out would be caught red-handed.
 func TestReadAtContextBoundedFanout(t *testing.T) {
 	const (
-		blockSize = 2 << 10
+		blockSize = 16 << 10
 		blocks    = 64
 		stripes   = 2
+		window    = 1
 	)
-	srv := newV1BlockServer(t, 2*time.Millisecond)
-	client := NewClient("127.0.0.1:1", WithStripes(stripes))
+	srv := newV2BlockServer(t, 5*time.Millisecond)
+	client := NewClient("127.0.0.1:1", WithStripes(stripes), WithStripeWindow(window))
 	defer client.Close()
 	data := patternData(blocks * blockSize)
-	f := v1File(t, srv, client, "bounded", data, blockSize)
+	f := v2File(t, srv, client, "bounded", data, blockSize)
 
 	got := make([]byte, len(data))
 	n, err := f.ReadAtContext(context.Background(), got, 0)
@@ -254,8 +207,45 @@ func TestReadAtContextBoundedFanout(t *testing.T) {
 	if n != len(data) || !bytes.Equal(got, data) {
 		t.Fatalf("read %d bytes, equal=%v", n, bytes.Equal(got[:n], data[:n]))
 	}
-	if peak := srv.peakInflight(); peak > stripes {
-		t.Fatalf("peak of %d reads in service, want <= %d (stripe-bounded fan-out)", peak, stripes)
+	peak, requests := srv.counts()
+	if requests <= stripes*window {
+		t.Fatalf("read went out as %d requests; want more than %d for the window to bind", requests, stripes*window)
+	}
+	if peak > stripes*window {
+		t.Fatalf("peak of %d requests outstanding, want <= %d (stripes x window)", peak, stripes*window)
+	}
+}
+
+// TestUnsequencedReplyIsProtocolError pins the one-op contract from the
+// client side: a reply to msgReadv that is not a sequenced msgOK2/msgError2
+// fails the read with ErrProtocol and tears the stripe's connection down,
+// and the next read re-dials and succeeds.
+func TestUnsequencedReplyIsProtocolError(t *testing.T) {
+	srv := newV2BlockServer(t, 0)
+	srv.unsequenced.Store(true)
+	client := NewClient("127.0.0.1:1", WithStripes(1))
+	defer client.Close()
+	data := patternData(8 << 10)
+	f := v2File(t, srv, client, "unseq", data, 4<<10)
+
+	got := make([]byte, len(data))
+	if _, err := f.ReadAtContext(context.Background(), got, 0); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("read answered with a plain msgError: err = %v, want ErrProtocol", err)
+	}
+	stats := client.StripeStats()
+	if len(stats) != 1 || stats[0].Failures != 1 || stats[0].Connected {
+		t.Fatalf("stripe stats after the protocol error = %+v, want one dropped stripe with 1 failure", stats)
+	}
+
+	srv.unsequenced.Store(false)
+	if _, err := f.ReadAtContext(context.Background(), got, 0); err != nil {
+		t.Fatalf("read after the protocol error: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read after the protocol error returned different bytes")
+	}
+	if stats := client.StripeStats(); stats[0].Failures != 1 || !stats[0].Connected {
+		t.Fatalf("stripe stats after the re-dial = %+v, want 1 failure and a live connection", stats[0])
 	}
 }
 
@@ -280,7 +270,7 @@ func TestReadvScatterSteadyStateAllocs(t *testing.T) {
 	}
 	got := make([]byte, len(data))
 	exts := oddExtents(got, 4093)
-	// Warm: version negotiation, connection dials, pool population.
+	// Warm: connection dials, pool population.
 	for i := 0; i < 3; i++ {
 		if err := f.ReadvScatter(context.Background(), exts); err != nil {
 			t.Fatal(err)

@@ -38,10 +38,6 @@ type ClientOption = dpss.ClientOption
 // NewClient connects to the master at the given address.
 var NewClient = dpss.NewClient
 
-// WithClientCompression requests DEFLATE-compressed block reads at the given
-// level — the paper's section 5 "wire level compression" extension.
-var WithClientCompression = dpss.WithClientCompression
-
 // WithClientShaper shapes the client's reads to emulate a WAN.
 var WithClientShaper = dpss.WithClientShaper
 
