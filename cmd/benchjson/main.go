@@ -34,7 +34,8 @@ func main() {
 
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
-	// Name is the benchmark name with the -N GOMAXPROCS suffix stripped.
+	// Name is the benchmark name with the -N GOMAXPROCS suffix stripped
+	// (see stripProcsSuffix).
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
 	// Metrics maps unit -> value for every "value unit" pair on the line:
@@ -82,7 +83,45 @@ func parse(r io.Reader) (*Doc, error) {
 			doc.CPU = s
 		}
 	}
+	stripProcsSuffix(doc.Benchmarks)
 	return doc, sc.Err()
+}
+
+// stripProcsSuffix removes the -N GOMAXPROCS suffix go test appends to every
+// benchmark name, so names are stable across runners. With GOMAXPROCS=1 go
+// test appends none, and a trailing "-4" then belongs to the name itself
+// (RenderKernel/parallel-4); so the suffix goes only when every benchmark
+// carries the same one.
+func stripProcsSuffix(bs []Benchmark) {
+	if len(bs) == 0 {
+		return
+	}
+	suffix := procsSuffix(bs[0].Name)
+	if suffix == "" {
+		return
+	}
+	for _, b := range bs[1:] {
+		if procsSuffix(b.Name) != suffix {
+			return
+		}
+	}
+	for i := range bs {
+		bs[i].Name = strings.TrimSuffix(bs[i].Name, suffix)
+	}
+}
+
+// procsSuffix returns name's trailing "-N" (N all digits), or "".
+func procsSuffix(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 || i == len(name)-1 {
+		return ""
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return ""
+		}
+	}
+	return name[i:]
 }
 
 // scanHeader extracts the value of a "key: value" header line.
@@ -106,16 +145,6 @@ func parseLine(line string) (Benchmark, bool) {
 	name, ok := strings.CutPrefix(fields[0], "Benchmark")
 	if !ok || name == "" {
 		return Benchmark{}, false
-	}
-	// Strip the -N GOMAXPROCS suffix so names are stable across runners.
-	for i := len(name) - 1; i > 0; i-- {
-		if name[i] == '-' {
-			name = name[:i]
-			break
-		}
-		if name[i] < '0' || name[i] > '9' {
-			break
-		}
 	}
 	var iters int64
 	if _, err := fmt.Sscanf(fields[1], "%d", &iters); err != nil {

@@ -102,3 +102,46 @@ FAIL
 		t.Errorf("parsed %d benchmarks from noise, want 0: %+v", len(doc.Benchmarks), doc.Benchmarks)
 	}
 }
+
+// With GOMAXPROCS=1 go test prints no -N suffix, so a trailing "-4" is part
+// of the sub-benchmark's own name and must survive.
+func TestParseKeepsNameSuffixWithoutProcs(t *testing.T) {
+	const oneProc = `BenchmarkRenderKernel/scalar         1   867037 ns/op
+BenchmarkRenderKernel/parallel-1     1   867037 ns/op
+BenchmarkRenderKernel/parallel-4     1   867037 ns/op
+`
+	doc, err := parse(strings.NewReader(oneProc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"RenderKernel/scalar", "RenderKernel/parallel-1", "RenderKernel/parallel-4"}
+	if len(doc.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(doc.Benchmarks), len(want))
+	}
+	for i, b := range doc.Benchmarks {
+		if b.Name != want[i] {
+			t.Errorf("benchmark %d named %q, want %q", i, b.Name, want[i])
+		}
+	}
+}
+
+// With GOMAXPROCS=8 every line carries "-8", which is stripped; a name's own
+// "-4" before it stays.
+func TestParseStripsCommonProcsSuffix(t *testing.T) {
+	const eightProcs = `BenchmarkRenderKernel/scalar-8       1   867037 ns/op
+BenchmarkRenderKernel/parallel-4-8   1   867037 ns/op
+`
+	doc, err := parse(strings.NewReader(eightProcs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"RenderKernel/scalar", "RenderKernel/parallel-4"}
+	if len(doc.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(doc.Benchmarks), len(want))
+	}
+	for i, b := range doc.Benchmarks {
+		if b.Name != want[i] {
+			t.Errorf("benchmark %d named %q, want %q", i, b.Name, want[i])
+		}
+	}
+}

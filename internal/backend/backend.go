@@ -61,6 +61,15 @@ type FrameSink interface {
 	SendHeavy(*wire.HeavyPayload) error
 }
 
+// ConnSinks returns a link's per-PE Conns as the back end's sinks.
+func ConnSinks(conns []*wire.Conn) []FrameSink {
+	sinks := make([]FrameSink, len(conns))
+	for i, c := range conns {
+		sinks[i] = c
+	}
+	return sinks
+}
+
 // NullSink discards everything sent to it; benchmarks that measure only the
 // load/render pipeline use it in place of a viewer.
 type NullSink struct {

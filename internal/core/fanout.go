@@ -136,12 +136,9 @@ func (fc *FanoutControl) Attach(id string) error {
 	vw.SetViewAngle(fc.cfg.ViewAngle)
 
 	// Reuse the single-viewer transport builder: it returns one sink per PE
-	// (or one shared LocalSink) plus the teardown sequence. FollowView is
-	// forced off — hints travel through the in-process hook above, never the
-	// wire.
-	trCfg := fc.cfg
-	trCfg.FollowView = false
-	tr, err := buildTransport(fc.ctx, trCfg, vw, fc.be)
+	// (or one shared LocalSink) plus the teardown sequence. Hints travel
+	// through the in-process hook above, never the wire.
+	tr, err := buildTransport(fc.ctx, fc.cfg, vw, nil)
 	if err != nil {
 		unreserve()
 		return fmt.Errorf("core: building transport for viewer %q: %w", id, err)
@@ -214,8 +211,9 @@ func (fc *FanoutControl) close() {
 }
 
 // teardown finishes one viewer's streams and unwinds its goroutines: Done
-// markers first (bounded — a wedged write means the viewer is gone anyway),
-// then the serve goroutines, then the sockets. Idempotent.
+// markers and the viewer's close first (bounded by grace — a wedged write
+// means the viewer is gone anyway), then the sockets, which fails whatever is
+// still blocked, then the serve goroutines. Idempotent.
 func (inst *viewerInstance) teardown(grace time.Duration) {
 	inst.mu.Lock()
 	if inst.torn {
@@ -225,34 +223,10 @@ func (inst *viewerInstance) teardown(grace time.Duration) {
 	inst.torn = true
 	inst.mu.Unlock()
 
-	done := make(chan error, 1)
-	go func() {
-		inst.tr.finish()
-		done <- inst.tr.serveWait()
-	}()
-	var deadline <-chan time.Time
-	if grace > 0 {
-		t := time.NewTimer(grace)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case err := <-done:
-		inst.setServeErr(err)
-		inst.tr.closeAll()
-		inst.vw.Stop()
-		return
-	case <-deadline:
-		// Wedged mid-stream: closing the connections below fails the blocked
-		// reads and writes, then the goroutine above drains on its own time.
-	}
+	_ = inst.tr.finish(grace) // a viewer that misses it shows up in its serve error
 	inst.tr.closeAll()
+	inst.setServeErr(inst.tr.serveWait())
 	inst.vw.Stop()
-	select {
-	case err := <-done:
-		inst.setServeErr(err)
-	case <-time.After(fanoutDrainGrace):
-	}
 }
 
 func (inst *viewerInstance) setServeErr(err error) {

@@ -5,10 +5,12 @@
 //
 //   - Session (session.go): a real, concurrent pipeline — data source
 //     (in-memory, synthetic or DPSS), the parallel back end of
-//     internal/backend, the wire protocol of internal/wire (optionally over
-//     real TCP, optionally striped and bandwidth-shaped), and the viewer of
-//     internal/viewer. Everything actually runs; NetLogger events carry real
-//     wall-clock timestamps.
+//     internal/backend, the wire protocol of internal/wire, and the viewer
+//     of internal/viewer. Over sockets every viewer is reached through one
+//     wire.Link (a connection per PE, optionally striped and
+//     bandwidth-shaped), the same link the split-process back end and the
+//     test harness use. Everything actually runs; NetLogger events carry
+//     real wall-clock timestamps.
 //
 //   - Campaign (campaign.go): a virtual-clock simulation of the paper's
 //     year-2000 field tests. The WAN testbeds (NTON, ESnet, SciNet), the
@@ -27,7 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"visapult/internal/backend"
@@ -207,7 +209,17 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 	}
 	vw.SetViewAngle(cfg.ViewAngle)
 
-	tr, err := buildTransport(ctx, cfg, vw, &be)
+	// Hints that come back over the link steer the back end once it exists.
+	var hintTarget atomic.Pointer[backend.BackEnd]
+	var onHint func(*wire.AxisHint)
+	if cfg.FollowView {
+		onHint = func(h *wire.AxisHint) {
+			if b := hintTarget.Load(); b != nil {
+				b.SetAxis(h.Axis)
+			}
+		}
+	}
+	tr, err := buildTransport(ctx, cfg, vw, onHint)
 	if err != nil {
 		return nil, err
 	}
@@ -232,6 +244,7 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 	if err != nil {
 		return nil, err
 	}
+	hintTarget.Store(be)
 
 	if cfg.RenderLoop {
 		vw.StartRenderLoop(0)
@@ -242,7 +255,7 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 	beStats, runErr := be.Run(ctx)
 	// Announce the end of every stream, wait for the viewer's service
 	// goroutines to drain, and only then tear the sockets down.
-	finishErr := tr.finish()
+	finishErr := tr.finish(0)
 	serveErr := tr.serveWait()
 	closeErr := tr.closeAll()
 	elapsed := time.Since(start)
@@ -277,26 +290,27 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) 
 }
 
 // transport bundles the per-PE sinks with the functions that drive the
-// teardown sequence: finish announces end-of-stream, serveWait drains the
-// viewer-side service goroutines, closeAll tears the sockets down.
+// teardown sequence: finish announces end-of-stream and waits up to grace for
+// the viewer to close its side, serveWait joins the viewer-side service
+// goroutines, closeAll tears the sockets down.
 type transport struct {
 	sinks     []backend.FrameSink
-	finish    func() error
+	finish    func(grace time.Duration) error
 	serveWait func() error
 	closeAll  func() error
 }
 
 // buildTransport wires the back end's sinks to the viewer according to the
-// configured transport.
-func buildTransport(ctx context.Context, cfg SessionConfig, vw *viewer.Viewer, be **backend.BackEnd) (*transport, error) {
-	noop := func() error { return nil }
-
+// configured transport: an in-process sink, or one wire.Link whose viewer
+// side vw serves. onHint receives the axis hints the viewer sends back over
+// the link.
+func buildTransport(ctx context.Context, cfg SessionConfig, vw *viewer.Viewer, onHint func(*wire.AxisHint)) (*transport, error) {
 	switch cfg.Transport {
 	case TransportLocal:
-		sink := viewer.NewLocalSink(vw)
+		noop := func() error { return nil }
 		return &transport{
-			sinks:     []backend.FrameSink{sink},
-			finish:    noop,
+			sinks:     []backend.FrameSink{viewer.NewLocalSink(vw)},
+			finish:    func(time.Duration) error { return nil },
 			serveWait: noop,
 			closeAll:  noop,
 		}, nil
@@ -306,192 +320,42 @@ func buildTransport(ctx context.Context, cfg SessionConfig, vw *viewer.Viewer, b
 		if err != nil {
 			return nil, fmt.Errorf("core: listen: %w", err)
 		}
-		var stripeL *wire.StripeListener
+		lanes := 0
 		if cfg.Transport == TransportStriped {
-			stripeL = wire.NewStripeListener(l, 0)
+			lanes = cfg.StripeLanes
 		}
-
-		// Viewer side: accept one logical connection per PE and service it.
-		serveErrs := make([]error, cfg.PEs)
-		var serveWG sync.WaitGroup
-		accepted := make(chan *wire.Conn, cfg.PEs)
-		acceptErr := make(chan error, 1)
-		acceptorDone := make(chan struct{})
+		var wrap func(net.Conn) net.Conn
+		if cfg.ViewerShaper != nil {
+			wrap = func(c net.Conn) net.Conn { return netsim.NewShapedConn(c, cfg.ViewerShaper) }
+		}
+		link, viewerConns, err := wire.ConnectLink(ctx, l, cfg.PEs, lanes, wrap, onHint)
+		if err != nil {
+			return nil, fmt.Errorf("core: connecting viewer: %w", err)
+		}
+		served := make(chan struct{})
+		var serveErr error
 		go func() {
-			defer close(acceptorDone)
-			for i := 0; i < cfg.PEs; i++ {
-				var conn *wire.Conn
-				if stripeL != nil {
-					s, err := stripeL.Accept()
-					if err != nil {
-						acceptErr <- err
-						return
-					}
-					conn = wire.NewConn(s)
-				} else {
-					c, err := l.Accept()
-					if err != nil {
-						acceptErr <- err
-						return
-					}
-					conn = wire.NewConn(c)
-				}
-				accepted <- conn
-			}
+			defer close(served)
+			serveErr = vw.ServeConns(viewerConns...)
 		}()
-
-		// Back-end side: dial one logical connection per PE. On any setup
-		// failure, every connection opened so far — dialed, accepted into
-		// viewerConns, or still sitting in the accepted channel — must be
-		// closed, or their goroutines (striped lane writers in particular)
-		// outlive the failed session.
-		conns := make([]*wire.Conn, cfg.PEs)
-		sinks := make([]backend.FrameSink, cfg.PEs)
-		viewerConns := make([]*wire.Conn, cfg.PEs)
-		failCleanup := func() {
-			for _, c := range conns {
-				if c != nil {
-					c.Close()
-				}
-			}
-			for _, c := range viewerConns {
-				if c != nil {
-					c.Close()
-				}
-			}
-			// Stop the acceptor before draining: closing the listener fails
-			// its pending Accept, and joining it guarantees no connection is
-			// pushed into the channel after the drain below.
-			if stripeL != nil {
-				stripeL.Close() // also closes partial lane conns and l
-			} else {
-				l.Close()
-			}
-			<-acceptorDone
-			for {
-				select {
-				case c := <-accepted:
-					c.Close()
-				default:
-					return
-				}
-			}
-		}
-		for i := 0; i < cfg.PEs; i++ {
-			var rw *wire.Conn
-			if cfg.Transport == TransportStriped {
-				s, err := wire.DialStriped(l.Addr().String(), cfg.StripeLanes, 0)
-				if err != nil {
-					failCleanup()
-					return nil, fmt.Errorf("core: dial striped: %w", err)
-				}
-				rw = wire.NewConn(s)
-			} else {
-				c, err := net.Dial("tcp", l.Addr().String())
-				if err != nil {
-					failCleanup()
-					return nil, fmt.Errorf("core: dial: %w", err)
-				}
-				if cfg.ViewerShaper != nil {
-					rw = wire.NewConn(netsim.NewShapedConn(c, cfg.ViewerShaper, 0))
-				} else {
-					rw = wire.NewConn(c)
-				}
-			}
-			conns[i] = rw
-			sinks[i] = rw
-		}
-
-		// Wait for the viewer side to have accepted all connections, then
-		// start the service goroutines.
-		for i := 0; i < cfg.PEs; i++ {
-			select {
-			case conn := <-accepted:
-				viewerConns[i] = conn
-			case err := <-acceptErr:
-				failCleanup()
-				return nil, fmt.Errorf("core: accept: %w", err)
-			case <-ctx.Done():
-				failCleanup()
-				return nil, ctx.Err()
-			case <-time.After(30 * time.Second):
-				failCleanup()
-				return nil, errors.New("core: timed out waiting for viewer connections")
-			}
-		}
-		for i, conn := range viewerConns {
-			serveWG.Add(1)
-			go func(i int, conn *wire.Conn) {
-				defer serveWG.Done()
-				serveErrs[i] = vw.ServeConn(conn)
-			}(i, conn)
-		}
-
-		// Axis hints written by the viewer come back on the back-end side of
-		// each connection; forward them to the back end when FollowView is
-		// set, otherwise drain them.
-		var hintWG sync.WaitGroup
-		for _, conn := range conns {
-			hintWG.Add(1)
-			go func(conn *wire.Conn) {
-				defer hintWG.Done()
-				for {
-					m, err := conn.ReadMessage()
-					if err != nil {
-						return
-					}
-					if m.Type != wire.MsgAxisHint || !cfg.FollowView {
-						continue
-					}
-					if hint, err := wire.DecodeAxisHint(m); err == nil && *be != nil {
-						(*be).SetAxis(hint.Axis)
-					}
-				}
-			}(conn)
-		}
-
-		var finishOnce, closeOnce sync.Once
-		finish := func() error {
-			var firstErr error
-			finishOnce.Do(func() {
-				for _, conn := range conns {
-					if err := conn.SendDone(); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				}
-			})
-			return firstErr
-		}
-		closeAll := func() error {
-			var firstErr error
-			closeOnce.Do(func() {
-				for _, conn := range conns {
-					if err := conn.Close(); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				}
+		return &transport{
+			sinks:  backend.ConnSinks(link.Conns()),
+			finish: link.Finish,
+			serveWait: func() error {
+				<-served
+				return serveErr
+			},
+			closeAll: func() error {
+				err := link.Close()
 				// The viewer-side halves must be closed too: a striped
-				// connection owns per-lane writer goroutines that only a
-				// Close releases.
-				for _, conn := range viewerConns {
-					if conn != nil {
-						conn.Close()
-					}
+				// connection owns per-lane goroutines that only a Close
+				// releases.
+				for _, c := range viewerConns {
+					c.Close()
 				}
-				if stripeL != nil {
-					stripeL.Close()
-				} else {
-					l.Close()
-				}
-				hintWG.Wait()
-			})
-			return firstErr
-		}
-		serveWait := func() error {
-			serveWG.Wait()
-			return errors.Join(serveErrs...)
-		}
-		return &transport{sinks: sinks, finish: finish, serveWait: serveWait, closeAll: closeAll}, nil
+				return err
+			},
+		}, nil
 
 	default:
 		return nil, fmt.Errorf("core: unknown transport %d", cfg.Transport)

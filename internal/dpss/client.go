@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"visapult/internal/netlogger"
 	"visapult/internal/netsim"
 )
 
@@ -24,8 +23,6 @@ import (
 type Client struct {
 	masterAddr string
 	shaper     *netsim.Shaper
-	latency    time.Duration
-	logger     *netlogger.Logger
 	// opTimeout bounds every request/response exchange whose context carries
 	// no deadline of its own; 0 disables the bound.
 	opTimeout time.Duration
@@ -71,17 +68,6 @@ type ClientOption func(*Client)
 // shaper; combined with a server-side shaper this brackets a WAN emulation.
 func WithClientShaper(sh *netsim.Shaper) ClientOption {
 	return func(c *Client) { c.shaper = sh }
-}
-
-// WithClientLatency adds a fixed delay before each request, emulating WAN
-// round-trip latency on the request path.
-func WithClientLatency(d time.Duration) ClientOption {
-	return func(c *Client) { c.latency = d }
-}
-
-// WithClientLogger attaches NetLogger instrumentation to the client.
-func WithClientLogger(l *netlogger.Logger) ClientOption {
-	return func(c *Client) { c.logger = l }
 }
 
 // WithClientTimeout overrides DefaultOpTimeout as the bound on exchanges
@@ -317,9 +303,6 @@ func (c *Client) Open(name string) (*File, error) {
 	info, err := decodeDatasetInfo(resp)
 	if err != nil {
 		return nil, err
-	}
-	if c.logger != nil {
-		c.logger.Log("DPSS_OPEN", netlogger.Str("DATASET", name), netlogger.Int64(netlogger.FieldBytes, info.Size))
 	}
 	return &File{client: c, info: info}, nil
 }

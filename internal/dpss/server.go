@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 
-	"visapult/internal/netlogger"
 	"visapult/internal/netsim"
 )
 
@@ -25,7 +24,6 @@ type BlockServer struct {
 	shaper *netsim.Shaper
 	// connShaper, when set, gives each accepted connection its own shaper.
 	connShaper func() *netsim.Shaper
-	logger     *netlogger.Logger
 	// pipeWorkers bounds per-connection msgReadv service concurrency; see
 	// WithPipelineWorkers.
 	pipeWorkers int
@@ -52,15 +50,6 @@ func WithDisks(n int) ServerOption {
 	}
 }
 
-// WithDiskModels sets explicit disks (with service-rate models).
-func WithDiskModels(disks ...*Disk) ServerOption {
-	return func(s *BlockServer) {
-		if len(disks) > 0 {
-			s.disks = disks
-		}
-	}
-}
-
 // WithServerShaper rate-limits the server's responses, emulating the
 // server-side network interface.
 func WithServerShaper(sh *netsim.Shaper) ServerOption {
@@ -74,11 +63,6 @@ func WithServerShaper(sh *netsim.Shaper) ServerOption {
 // when both are set the per-connection shaper wins.
 func WithConnShaperFactory(f func() *netsim.Shaper) ServerOption {
 	return func(s *BlockServer) { s.connShaper = f }
-}
-
-// WithServerLogger attaches a NetLogger logger for server-side events.
-func WithServerLogger(l *netlogger.Logger) ServerOption {
-	return func(s *BlockServer) { s.logger = l }
 }
 
 // NewBlockServer creates a block server with the given options (4 in-memory
@@ -166,10 +150,10 @@ func (s *BlockServer) serveConn(conn net.Conn) {
 	var out net.Conn = conn
 	if s.connShaper != nil {
 		if sh := s.connShaper(); sh != nil {
-			out = netsim.NewShapedConn(conn, sh, 0)
+			out = netsim.NewShapedConn(conn, sh)
 		}
 	} else if s.shaper != nil {
-		out = netsim.NewShapedConn(conn, s.shaper, 0)
+		out = netsim.NewShapedConn(conn, s.shaper)
 	}
 	// pipe serves this conn's msgReadv requests out of order through a
 	// bounded worker pool; created on the first one, joined on exit.

@@ -6,8 +6,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"visapult/internal/netlogger"
 )
 
 // DefaultPipelineWorkers is how many msgReadv requests one client connection
@@ -98,10 +96,6 @@ func (p *connPipeline) serve(payload []byte) {
 				return
 			}
 			lastBlock, lastData = x.block, data
-			if l := p.s.logger; l != nil {
-				l.Log("DPSS_BLOCK_READ", netlogger.Str("DATASET", dataset),
-					netlogger.Int64("BLOCK", x.block), netlogger.Int64(netlogger.FieldBytes, int64(len(data))))
-			}
 		}
 		if int(x.off)+int(x.n) > len(lastData) {
 			p.replyErr2(seq, fmt.Errorf("%w: extent [%d,+%d) outside block %d (%d bytes)",

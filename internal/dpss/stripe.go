@@ -141,11 +141,11 @@ func (p *stripePool) pick() *stripe {
 	return p.stripes[int(p.next.Add(1))%len(p.stripes)]
 }
 
-// wrapConn applies the client's WAN emulation (shaper, request latency) to a
-// freshly dialed conn's write side.
+// wrapConn applies the client's WAN emulation (its shaper) to a freshly
+// dialed conn's write side.
 func (c *Client) wrapConn(conn net.Conn) io.Writer {
-	if c.shaper != nil || c.latency > 0 {
-		return netsim.NewShapedConn(conn, c.shaper, c.latency)
+	if c.shaper != nil {
+		return netsim.NewShapedConn(conn, c.shaper)
 	}
 	return conn
 }

@@ -102,26 +102,21 @@ func (s *Shaper) reserve(n int) time.Duration {
 	return wait
 }
 
-// ShapedConn wraps a net.Conn so that writes are paced by a Shaper and an
-// optional fixed latency is added before the first byte of each write. Reads
+// ShapedConn wraps a net.Conn so that writes are paced by a Shaper. Reads
 // are not shaped (the peer's writes already are).
 type ShapedConn struct {
 	net.Conn
-	shaper  *Shaper
-	latency time.Duration
+	shaper *Shaper
 }
 
-// NewShapedConn wraps conn with the given shaper and per-write latency.
-// A nil shaper leaves the write path unshaped.
-func NewShapedConn(conn net.Conn, shaper *Shaper, latency time.Duration) *ShapedConn {
-	return &ShapedConn{Conn: conn, shaper: shaper, latency: latency}
+// NewShapedConn wraps conn with the given shaper. A nil shaper leaves the
+// write path unshaped.
+func NewShapedConn(conn net.Conn, shaper *Shaper) *ShapedConn {
+	return &ShapedConn{Conn: conn, shaper: shaper}
 }
 
 // Write paces p through the shaper in MTU-sized chunks.
 func (c *ShapedConn) Write(p []byte) (int, error) {
-	if c.latency > 0 {
-		time.Sleep(c.latency)
-	}
 	if c.shaper == nil {
 		return c.Conn.Write(p)
 	}

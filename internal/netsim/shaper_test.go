@@ -134,7 +134,7 @@ func TestShapedConnEndToEnd(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		shaped := NewShapedConn(conn, NewShaper(8*stats.MB, 128<<10), 0)
+		shaped := NewShapedConn(conn, NewShaper(8*stats.MB, 128<<10))
 		_, err = shaped.Write(payload)
 		errCh <- err
 	}()
@@ -179,7 +179,7 @@ func TestShapedConnUnshapedPassthrough(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		shaped := NewShapedConn(conn, nil, 0)
+		shaped := NewShapedConn(conn, nil)
 		shaped.Write([]byte("passthrough"))
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())

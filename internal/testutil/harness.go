@@ -1,14 +1,13 @@
 // Package testutil provides a reusable in-process end-to-end harness for the
 // Visapult pipeline: it wires a data source through a real back end and its
-// fan-out stage to N viewers over real TCP connections on loopback, with
-// per-viewer stall injection. Fan-out, transport and viewer tests across the
-// repository build on it instead of hand-rolling listener/dial/serve
-// plumbing.
+// fan-out stage to N viewers, each over a wire.Link of real TCP connections
+// on loopback, with per-viewer stall injection. Fan-out, transport and
+// viewer tests across the repository build on it instead of hand-rolling
+// listener/dial/serve plumbing.
 package testutil
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -45,6 +44,9 @@ type Harness struct {
 	cfg HarnessConfig
 	fan *backend.Fanout
 	src backend.DataSource
+	// listen opens each viewer's loopback listener; tests swap it to make
+	// accepts slow or fail.
+	listen func() (net.Listener, error)
 
 	mu      sync.Mutex
 	viewers []*HarnessViewer
@@ -87,7 +89,8 @@ func NewHarness(tb testing.TB, cfg HarnessConfig) *Harness {
 	if err != nil {
 		tb.Fatalf("testutil: building fan-out: %v", err)
 	}
-	return &Harness{tb: tb, cfg: cfg, fan: fan, src: src}
+	listen := func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+	return &Harness{tb: tb, cfg: cfg, fan: fan, src: src, listen: listen}
 }
 
 // delaySource slows each region load down by a fixed delay (interruptible by
@@ -120,10 +123,11 @@ func (h *Harness) Deliveries() map[string]backend.ViewerDelivery {
 	return out
 }
 
-// AttachViewer stands a new viewer up — its own TCP listener on loopback,
-// one accepted connection per PE, a real viewer.Viewer servicing them — and
-// attaches it to the fan-out. Safe before or during Run; a viewer attached
-// mid-run starts receiving at the next frame boundary.
+// AttachViewer stands a new viewer up — its own TCP listener on loopback, a
+// wire.Link with one accepted connection per PE, a real viewer.Viewer
+// servicing them — and attaches it to the fan-out. Every connection is
+// accepted before AttachViewer returns. Safe before or during Run; a viewer
+// attached mid-run starts receiving at the next frame boundary.
 func (h *Harness) AttachViewer(id string) *HarnessViewer {
 	h.tb.Helper()
 	hv, err := h.attachViewer(id)
@@ -134,74 +138,40 @@ func (h *Harness) AttachViewer(id string) *HarnessViewer {
 }
 
 func (h *Harness) attachViewer(id string) (*HarnessViewer, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := h.listen()
 	if err != nil {
 		return nil, err
 	}
 	vw, err := viewer.New(viewer.Config{
 		PEs: h.cfg.PEs,
-		// A non-nil hook keeps ServeConn from writing axis hints back over
-		// connections nobody drains.
+		// A non-nil hook keeps ServeConn from writing axis hints back.
 		AxisHint: func(int, volume.Axis) {},
 	})
 	if err != nil {
 		l.Close()
 		return nil, err
 	}
+	g := newGate()
+	gated := func(c net.Conn) net.Conn { return &gatedConn{Conn: c, gate: g} }
+	link, conns, err := wire.ConnectLink(context.Background(), l, h.cfg.PEs, 0, gated, nil)
+	if err != nil {
+		return nil, err
+	}
 	hv := &HarnessViewer{
 		ID:        id,
 		harness:   h,
 		vw:        vw,
-		listener:  l,
-		gate:      newGate(),
+		link:      link,
+		gate:      g,
 		serveDone: make(chan struct{}),
-	}
-
-	// Viewer side: accept one connection per PE, then service them all.
-	accepted := make(chan *wire.Conn, h.cfg.PEs)
-	go func() {
-		for i := 0; i < h.cfg.PEs; i++ {
-			c, err := l.Accept()
-			if err != nil {
-				close(accepted)
-				return
-			}
-			accepted <- wire.NewConn(c)
-		}
-	}()
-
-	// Back-end side: dial one gated connection per PE.
-	sinks := make([]backend.FrameSink, h.cfg.PEs)
-	for pe := 0; pe < h.cfg.PEs; pe++ {
-		c, err := net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
-		if err != nil {
-			hv.close()
-			return nil, err
-		}
-		conn := wire.NewConn(&gatedConn{Conn: c, gate: hv.gate})
-		hv.conns = append(hv.conns, conn)
-		sinks[pe] = conn
 	}
 	go func() {
 		defer close(hv.serveDone)
-		conns := make([]*wire.Conn, 0, h.cfg.PEs)
-		timeout := time.After(10 * time.Second)
-		for i := 0; i < h.cfg.PEs; i++ {
-			select {
-			case c, ok := <-accepted:
-				if !ok {
-					return
-				}
-				conns = append(conns, c)
-			case <-timeout:
-				return
-			}
-		}
 		hv.setServeErr(vw.ServeConns(conns...))
 	}()
 
-	if err := h.fan.Attach(id, sinks); err != nil {
-		hv.close()
+	if err := h.fan.Attach(id, backend.ConnSinks(link.Conns())); err != nil {
+		link.Close()
 		return nil, err
 	}
 	h.mu.Lock()
@@ -212,8 +182,8 @@ func (h *Harness) attachViewer(id string) (*HarnessViewer, error) {
 
 // AttachStalledViewer attaches a viewer whose connections are stalled from
 // the start: the fan-out's sender for it blocks on the first write until
-// Unstall (or teardown). Its queue then fills and frames drop — the dead
-// display of the acceptance scenario.
+// teardown. Its queue then fills and frames drop — the dead display of the
+// acceptance scenario.
 func (h *Harness) AttachStalledViewer(id string) *HarnessViewer {
 	h.tb.Helper()
 	hv := h.AttachViewer(id)
@@ -264,8 +234,7 @@ type HarnessViewer struct {
 	harness *Harness
 	vw      *viewer.Viewer
 
-	listener  net.Listener
-	conns     []*wire.Conn
+	link      *wire.Link
 	gate      *gate
 	serveDone chan struct{}
 
@@ -308,23 +277,6 @@ func (hv *HarnessViewer) setServeErr(err error) {
 // a wedged display or a dead network path.
 func (hv *HarnessViewer) Stall() { hv.gate.stall() }
 
-// Unstall releases the viewer's connections again.
-func (hv *HarnessViewer) Unstall() { hv.gate.unstall() }
-
-// WaitFramesCompleted polls until the viewer has assembled at least n
-// complete frames.
-func (hv *HarnessViewer) WaitFramesCompleted(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if hv.vw.Stats().FramesCompleted >= n {
-			return nil
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return fmt.Errorf("testutil: viewer %s completed %d frames, want >= %d within %v",
-		hv.ID, hv.vw.Stats().FramesCompleted, n, timeout)
-}
-
 // Detach removes the viewer from the fan-out mid-run and tears its
 // transport down; its delivery record remains in the fan-out's snapshot.
 func (hv *HarnessViewer) Detach() error {
@@ -335,9 +287,10 @@ func (hv *HarnessViewer) Detach() error {
 	return nil
 }
 
-// teardown ends the viewer's streams: done markers (concurrent, bounded —
-// a stalled connection cannot take them), gates released with an error so
-// blocked writers unwind, sockets closed, service goroutines joined.
+// teardown ends the viewer's streams: done markers and the viewer's close
+// (bounded — a stalled connection cannot take a marker), then the link
+// closed, which kills the gate and fails the sockets so anything still
+// blocked unwinds, then the service goroutines joined.
 func (hv *HarnessViewer) teardown() {
 	hv.mu.Lock()
 	if hv.torn {
@@ -347,40 +300,16 @@ func (hv *HarnessViewer) teardown() {
 	hv.torn = true
 	hv.mu.Unlock()
 
-	// Done markers first (concurrent, bounded — a wedged connection's write
-	// lock cannot take one), then fail the gates and close the sockets so
-	// anything still blocked unwinds, then join the service goroutines. A
-	// healthy viewer reads its buffered stream plus the Done marker before
-	// the FIN arrives, so its streams still end cleanly.
-	var doneWG sync.WaitGroup
-	for _, c := range hv.conns {
-		doneWG.Add(1)
-		go func(c *wire.Conn) { defer doneWG.Done(); c.SendDone() }(c)
-	}
-	sent := make(chan struct{})
-	go func() { doneWG.Wait(); close(sent) }()
-	select {
-	case <-sent:
-	case <-time.After(2 * time.Second):
-	}
-	hv.close()
+	_ = hv.link.Finish(2 * time.Second) // a stalled viewer misses it; the serve error says why
+	hv.link.Close()
 	select {
 	case <-hv.serveDone:
 	case <-time.After(5 * time.Second):
 	}
 }
 
-// close releases everything unconditionally (also the attach failure path).
-func (hv *HarnessViewer) close() {
-	hv.gate.kill()
-	for _, c := range hv.conns {
-		c.Close()
-	}
-	hv.listener.Close()
-}
-
 // gate pauses writes on demand. Open by default; stall swaps in a blocking
-// state, unstall releases it, kill fails all current and future waits.
+// state, kill fails all current and future waits.
 type gate struct {
 	mu   sync.Mutex
 	open chan struct{} // closed when writes may proceed
@@ -399,16 +328,6 @@ func (g *gate) stall() {
 	case <-g.open:
 		g.open = make(chan struct{})
 	default: // already stalled
-	}
-	g.mu.Unlock()
-}
-
-func (g *gate) unstall() {
-	g.mu.Lock()
-	select {
-	case <-g.open:
-	default:
-		close(g.open)
 	}
 	g.mu.Unlock()
 }
@@ -437,9 +356,15 @@ func (g *gate) wait() error {
 }
 
 // gatedConn is a net.Conn whose writes block while its gate is stalled.
+// Closing it kills the gate, so a write parked there fails too.
 type gatedConn struct {
 	net.Conn
 	gate *gate
+}
+
+func (c *gatedConn) Close() error {
+	c.gate.kill()
+	return c.Conn.Close()
 }
 
 func (c *gatedConn) Write(p []byte) (int, error) {

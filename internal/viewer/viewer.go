@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -316,27 +315,6 @@ func (v *Viewer) ServeConn(conn *wire.Conn) error {
 			return fmt.Errorf("viewer: unexpected message %v from back end", m.Type)
 		}
 	}
-}
-
-// Serve accepts one TCP connection per expected PE on the listener and
-// services them concurrently, returning when all streams have ended. It is
-// the network-facing entry point used by cmd/visapult-viewer.
-func (v *Viewer) Serve(l net.Listener) error {
-	conns := make([]*wire.Conn, v.cfg.PEs)
-	for i := 0; i < v.cfg.PEs; i++ {
-		c, err := l.Accept()
-		if err != nil {
-			for _, conn := range conns {
-				if conn != nil {
-					conn.Close()
-				}
-			}
-			return fmt.Errorf("viewer: accepting PE connection %d: %w", i, err)
-		}
-		//vislint:ignore boundedio PE streams are long-lived: a viewer legitimately waits as long as the back end computes between frames
-		conns[i] = wire.NewConn(c)
-	}
-	return v.ServeConns(conns...)
 }
 
 // ServeConns services a set of already-established logical back-end

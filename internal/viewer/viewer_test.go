@@ -318,7 +318,14 @@ func TestServeConnEndToEnd(t *testing.T) {
 	}()
 
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- v.Serve(l) }()
+	go func() {
+		conns, err := wire.AcceptConns(context.Background(), l, 1, 0)
+		if err != nil {
+			serveErr <- err
+			return
+		}
+		serveErr <- v.ServeConns(conns...)
+	}()
 
 	be := <-beCh
 	if be.err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -489,6 +490,11 @@ func (s *Stripe) close() error {
 // single logical Stripe. The remote end must accept them with a
 // StripeListener.
 func DialStriped(addr string, n, chunkSize int) (*Stripe, error) {
+	return dialStriped(context.Background(), addr, n, chunkSize) //vislint:ignore ctxbackground ctx-less entry point; DialLink dials stripes with its caller's ctx
+}
+
+// dialStriped is DialStriped with the lane dials bounded by ctx.
+func dialStriped(ctx context.Context, addr string, n, chunkSize int) (*Stripe, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -500,8 +506,9 @@ func DialStriped(addr string, n, chunkSize int) (*Stripe, error) {
 			c.Close()
 		}
 	}
+	var d net.Dialer
 	for i := 0; i < n; i++ {
-		c, err := net.Dial("tcp", addr)
+		c, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			cleanup()
 			return nil, fmt.Errorf("wire: dial stripe lane %d: %w", i, err)

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"visapult/internal/backend"
@@ -16,9 +17,10 @@ import (
 )
 
 // The split-process deployment of the paper's field tests: the back end runs
-// near the data (RunBackend) and streams slab textures over one TCP
-// connection per PE to a viewer on the desktop (ServeViewer). The in-process
-// equivalent is Pipeline with TransportTCP.
+// near the data (RunBackend) and streams slab textures to a viewer on the
+// desktop (ServeViewer) over one wire.Link per viewer — a TCP connection per
+// PE, which also carries the viewer's axis hints back. The in-process
+// equivalent is Pipeline with TransportTCP, which builds the same link.
 
 // BackendConfig describes a standalone back-end process.
 type BackendConfig struct {
@@ -65,9 +67,18 @@ type BackendReport struct {
 	Viewers []ViewerDelivery
 }
 
-// RunBackend dials one viewer connection per PE, executes the back end, and
-// announces end-of-stream. Cancelling ctx aborts the run at the next phase
-// boundary.
+// linkGrace bounds a split-process teardown: the fan-out's queue flush, then
+// the end-of-stream markers and the viewers' close. A viewer that needs
+// longer is abandoned by closing its link.
+const linkGrace = 5 * time.Second
+
+// RunBackend dials one wire.Link (a connection per PE) to every viewer,
+// executes the back end, and announces end-of-stream. A single ViewerAddr
+// takes the link's connections as the back end's sinks, so it is lossless
+// and back-pressured; each of several ViewerAddrs is attached to the fan-out
+// stage with its own bounded queue instead. Cancelling ctx closes the links,
+// which unblocks a PE stuck mid-write against a stalled viewer, and aborts
+// the run at the next phase boundary.
 func RunBackend(ctx context.Context, cfg BackendConfig) (*BackendReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -78,30 +89,64 @@ func RunBackend(ctx context.Context, cfg BackendConfig) (*BackendReport, error) 
 	if cfg.PEs <= 0 {
 		cfg.PEs = 4
 	}
-	if len(cfg.ViewerAddrs) > 0 {
-		return runBackendFanout(ctx, cfg)
-	}
-	if cfg.ViewerAddr == "" {
-		return nil, errors.New("visapult: BackendConfig.ViewerAddr is required")
+	addrs := cfg.ViewerAddrs
+	if len(addrs) == 0 {
+		if cfg.ViewerAddr == "" {
+			return nil, errors.New("visapult: BackendConfig.ViewerAddr is required")
+		}
+		addrs = []string{cfg.ViewerAddr}
 	}
 
-	var dialer net.Dialer
-	sinks := make([]backend.FrameSink, cfg.PEs)
-	conns := make([]*wire.Conn, cfg.PEs)
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
+	var fan *backend.Fanout
+	if len(cfg.ViewerAddrs) > 0 {
+		var err error
+		if fan, err = backend.NewFanout(cfg.PEs, cfg.ViewerQueue); err != nil {
+			return nil, err
+		}
+		// Deferred before the links close, so it runs after: a sender still
+		// parked on its queue (a setup failure) or wedged on a stalled
+		// viewer ends once its link is gone.
+		defer fan.Close(linkGrace)
+	}
+
+	// The first viewer's axis hints steer the decomposition when FollowView
+	// is set (section 3.3); every link drains its hints either way.
+	var hintTarget atomic.Pointer[backend.BackEnd]
+	links := make([]*wire.Link, 0, len(addrs))
+	closeLinks := func() {
+		for _, l := range links {
+			l.Close()
+		}
+	}
+	for i, addr := range addrs {
+		var onHint func(*wire.AxisHint)
+		if cfg.FollowView && i == 0 {
+			onHint = func(h *wire.AxisHint) {
+				if be := hintTarget.Load(); be != nil {
+					be.SetAxis(h.Axis)
+				}
 			}
 		}
-	}()
-	for i := range sinks {
-		c, err := dialer.DialContext(ctx, "tcp", cfg.ViewerAddr)
+		link, err := wire.DialLink(ctx, addr, cfg.PEs, 0, nil, onHint)
 		if err != nil {
-			return nil, fmt.Errorf("visapult: connecting PE %d to viewer %s: %w", i, cfg.ViewerAddr, err)
+			closeLinks()
+			return nil, fmt.Errorf("visapult: connecting to viewer %s: %w", addr, err)
 		}
-		conns[i] = wire.NewConn(c)
-		sinks[i] = conns[i]
+		links = append(links, link)
+	}
+	defer closeLinks()
+	defer context.AfterFunc(ctx, closeLinks)()
+
+	var sinks []backend.FrameSink
+	if fan == nil {
+		sinks = backend.ConnSinks(links[0].Conns())
+	} else {
+		for i, l := range links {
+			if err := fan.Attach(fmt.Sprintf("viewer-%d:%s", i, addrs[i]), backend.ConnSinks(l.Conns())); err != nil {
+				return nil, err
+			}
+		}
+		sinks = fan.Sinks()
 	}
 
 	var logger *netlogger.Logger
@@ -116,184 +161,32 @@ func RunBackend(ctx context.Context, cfg BackendConfig) (*BackendReport, error) 
 	if err != nil {
 		return nil, err
 	}
-
-	// A cancelled context closes the connections immediately: that is what
-	// unblocks a PE stuck mid-write against a stalled viewer (the barrier
-	// abort alone cannot interrupt a full TCP send buffer).
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			for _, c := range conns {
-				c.Close()
-			}
-		case <-watchDone:
-		}
-	}()
-
-	// Drain each connection's return channel, steering the decomposition by
-	// the viewer's axis hints (section 3.3). Draining also keeps the socket's
-	// receive buffer empty so the teardown below is a clean FIN, not a reset.
-	var hintWG sync.WaitGroup
-	for _, c := range conns {
-		hintWG.Add(1)
-		go func(c *wire.Conn) {
-			defer hintWG.Done()
-			for {
-				m, err := c.ReadMessage()
-				if err != nil {
-					return
-				}
-				if m.Type != wire.MsgAxisHint || !cfg.FollowView {
-					continue
-				}
-				if hint, err := wire.DecodeAxisHint(m); err == nil {
-					be.SetAxis(hint.Axis)
-				}
-			}
-		}(c)
-	}
+	hintTarget.Store(be)
 
 	stats, err := be.Run(ctx)
+	if fan != nil {
+		fan.Close(linkGrace)
+	}
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range conns {
-		c.SendDone()
+	// End every viewer's streams together. A viewer that misses the grace
+	// (stalled, or gone) loses nothing the run still owes it: its frames
+	// were delivered or, past its queue, dropped and counted.
+	var wg sync.WaitGroup
+	for _, l := range links {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = l.Finish(linkGrace)
+		}()
 	}
-	// Wait for the viewer to read the end-of-stream marker and close its
-	// side (the hint readers end on EOF) before closing ours; bounded so a
-	// stuck viewer cannot wedge the shutdown.
-	drained := make(chan struct{})
-	go func() { hintWG.Wait(); close(drained) }()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
-	}
+	wg.Wait()
+
 	rep := &BackendReport{Stats: stats}
-	if logger != nil {
-		col := netlogger.NewCollector()
-		col.AddLogger(logger)
-		rep.Events = col.Events()
+	if fan != nil {
+		rep.Viewers = fan.Viewers()
 	}
-	return rep, nil
-}
-
-// runBackendFanout is RunBackend's multicast path: one render, N viewer
-// processes, each fed through the fan-out stage over its own per-PE
-// connections.
-func runBackendFanout(ctx context.Context, cfg BackendConfig) (*BackendReport, error) {
-	fan, err := backend.NewFanout(cfg.PEs, cfg.ViewerQueue)
-	if err != nil {
-		return nil, err
-	}
-
-	var dialer net.Dialer
-	var conns []*wire.Conn // every dialed connection, for teardown
-	closeConns := func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-	// Setup-failure cleanup: viewers attached before the failure already
-	// have sender goroutines parked on their queues; closing the fan ends
-	// them (queues are empty this early, so the grace is never consumed).
-	failCleanup := func() {
-		closeConns()
-		fan.Close(time.Second)
-	}
-	var logger *netlogger.Logger
-	if cfg.Instrument {
-		logger = netlogger.New(hostname("backend-host"), "backend")
-	}
-	be, err := backend.New(backend.Config{
-		PEs: cfg.PEs, Timesteps: cfg.Timesteps, Mode: cfg.Mode,
-		Source: cfg.Source, Sinks: fan.Sinks(), Logger: logger,
-		RenderWorkers: cfg.RenderWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Dial one connection per PE per viewer and attach each viewer to the
-	// fan-out. The first viewer's axis hints steer the decomposition when
-	// FollowView is set; every connection's return channel is drained either
-	// way so teardown ends in a clean FIN.
-	var hintWG sync.WaitGroup
-	for vi, addr := range cfg.ViewerAddrs {
-		sinks := make([]backend.FrameSink, cfg.PEs)
-		for pe := 0; pe < cfg.PEs; pe++ {
-			c, err := dialer.DialContext(ctx, "tcp", addr)
-			if err != nil {
-				failCleanup()
-				return nil, fmt.Errorf("visapult: connecting PE %d to viewer %s: %w", pe, addr, err)
-			}
-			conn := wire.NewConn(c)
-			conns = append(conns, conn)
-			sinks[pe] = conn
-			primary := vi == 0
-			hintWG.Add(1)
-			go func(conn *wire.Conn) {
-				defer hintWG.Done()
-				for {
-					m, err := conn.ReadMessage()
-					if err != nil {
-						return
-					}
-					if m.Type != wire.MsgAxisHint || !cfg.FollowView || !primary {
-						continue
-					}
-					if hint, err := wire.DecodeAxisHint(m); err == nil {
-						be.SetAxis(hint.Axis)
-					}
-				}
-			}(conn)
-		}
-		if err := fan.Attach(fmt.Sprintf("viewer-%d:%s", vi, addr), sinks); err != nil {
-			failCleanup()
-			return nil, err
-		}
-	}
-
-	// A cancelled context closes every connection: that unblocks fan-out
-	// senders stuck mid-write against stalled viewers.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeConns()
-		case <-watchDone:
-		}
-	}()
-
-	stats, runErr := be.Run(ctx)
-	// Flush the queues, announce end-of-stream on every healthy connection,
-	// give the viewers a moment to read it, then tear the sockets down. The
-	// done markers go out concurrently and the wait is bounded: a connection
-	// wedged behind a stalled viewer would otherwise block the teardown on
-	// its write lock.
-	fan.Close(5 * time.Second)
-	var doneWG sync.WaitGroup
-	for _, c := range conns {
-		doneWG.Add(1)
-		go func(c *wire.Conn) { defer doneWG.Done(); c.SendDone() }(c)
-	}
-	drained := make(chan struct{})
-	go func() { doneWG.Wait(); hintWG.Wait(); close(drained) }()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
-	}
-	closeConns()
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	rep := &BackendReport{Stats: stats, Viewers: fan.Viewers()}
 	if logger != nil {
 		col := netlogger.NewCollector()
 		col.AddLogger(logger)
@@ -328,9 +221,10 @@ type ViewerReport struct {
 	FinalImage *Image
 }
 
-// ServeViewer accepts one TCP connection per expected PE, services them
-// concurrently until every stream ends, and returns the assembled view.
-// Cancelling ctx closes the listener and unwinds the service goroutines.
+// ServeViewer accepts one TCP connection per expected PE (the viewer side of
+// RunBackend's wire.Link), services them concurrently until every stream
+// ends, and returns the assembled view. Cancelling ctx closes the listener
+// and the connections, which unwinds the service goroutines.
 func ServeViewer(ctx context.Context, cfg ViewerConfig) (*ViewerReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -360,30 +254,26 @@ func ServeViewer(ctx context.Context, cfg ViewerConfig) (*ViewerReport, error) {
 	}
 
 	var lc net.ListenConfig
-	inner, err := lc.Listen(ctx, "tcp", cfg.ListenAddr)
+	l, err := lc.Listen(ctx, "tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, err
 	}
-	l := &trackingListener{Listener: inner}
-	defer l.CloseAll()
 	if cfg.OnListen != nil {
 		cfg.OnListen(l.Addr())
 	}
-
-	// A cancelled context closes the listener (failing a pending Accept) AND
-	// every accepted PE connection, so service goroutines blocked reading a
-	// stalled back end unwind too.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			l.CloseAll()
-		case <-watchDone:
+	conns, err := wire.AcceptConns(ctx, l, cfg.PEs, 0)
+	if err != nil {
+		return nil, err
+	}
+	// A cancelled context closes every PE connection, so service goroutines
+	// blocked reading a stalled back end unwind.
+	stop := context.AfterFunc(ctx, func() {
+		for _, c := range conns {
+			c.Close()
 		}
-	}()
-
-	serveErr := vw.Serve(l)
+	})
+	serveErr := vw.ServeConns(conns...)
+	stop()
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return nil, ctxErr
 	}
@@ -401,47 +291,6 @@ func ServeViewer(ctx context.Context, cfg ViewerConfig) (*ViewerReport, error) {
 		rep.Events = col.Events()
 	}
 	return rep, nil
-}
-
-// trackingListener remembers the connections it accepts so a cancellation
-// can close them along with the listener itself.
-type trackingListener struct {
-	net.Listener
-	mu     sync.Mutex
-	closed bool
-	conns  []net.Conn
-}
-
-// Accept implements net.Listener, recording the accepted connection. A
-// connection that lands in the window between CloseAll's snapshot and the
-// append is closed here instead of escaping the teardown.
-func (t *trackingListener) Accept() (net.Conn, error) {
-	c, err := t.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		c.Close()
-		return nil, net.ErrClosed
-	}
-	t.conns = append(t.conns, c)
-	t.mu.Unlock()
-	return c, nil
-}
-
-// CloseAll closes the listener and every connection accepted through it.
-func (t *trackingListener) CloseAll() {
-	t.Listener.Close()
-	t.mu.Lock()
-	t.closed = true
-	conns := t.conns
-	t.conns = nil
-	t.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
 }
 
 // hostname returns the OS hostname, falling back to def.
