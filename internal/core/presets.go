@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"visapult/internal/backend"
-	"visapult/internal/datagen"
 	"visapult/internal/netsim"
 	"visapult/internal/platform"
 )
@@ -139,25 +138,6 @@ func ANLESnetCampaign(mode backend.Mode) Campaign {
 		SlowStart:  true,
 		Seed:       1600,
 	}
-}
-
-// PaperCombustionSource returns a synthetic stand-in for the Combustion
-// Corridor dataset at a reduced resolution suitable for real (non-simulated)
-// sessions: the full 640x256x256 grid is available through
-// datagen.PaperCombustionConfig for callers who want paper-scale data.
-func PaperCombustionSource(scale int, timesteps int) *backend.SyntheticSource {
-	if scale < 1 {
-		scale = 1
-	}
-	if timesteps < 1 {
-		timesteps = 1
-	}
-	cfg := datagen.CombustionConfig{
-		NX: 640 / scale, NY: 256 / scale, NZ: 256 / scale,
-		Timesteps: timesteps,
-		Seed:      2000,
-	}
-	return backend.NewSyntheticSource(datagen.NewCombustion(cfg))
 }
 
 // TerascaleTargetRate is the paper's stated goal of five new timesteps per

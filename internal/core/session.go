@@ -3,14 +3,17 @@
 //
 // It offers two complementary execution paths:
 //
-//   - Session (session.go): a real, concurrent pipeline — data source
-//     (in-memory, synthetic or DPSS), the parallel back end of
+//   - Session (session.go, assembly.go): a real, concurrent pipeline — data
+//     source (in-memory, synthetic or DPSS), the parallel back end of
 //     internal/backend, the wire protocol of internal/wire, and the viewer
-//     of internal/viewer. Over sockets every viewer is reached through one
-//     wire.Link (a connection per PE, optionally striped and
-//     bandwidth-shaped), the same link the split-process back end and the
-//     test harness use. Everything actually runs; NetLogger events carry
-//     real wall-clock timestamps.
+//     of internal/viewer. RunSession (viewers in this process, or none) and
+//     RunRemote (viewers in other processes) share one back-end assembly,
+//     runBackEnd: it builds the viewer ends, ships to a single end directly
+//     or to several through the fan-out stage, and tears everything down
+//     under one grace budget. Over sockets every viewer is reached through
+//     one wire.Link (a connection per PE, optionally striped and
+//     bandwidth-shaped), the same link the test harness uses. Everything
+//     actually runs; NetLogger events carry real wall-clock timestamps.
 //
 //   - Campaign (campaign.go): a virtual-clock simulation of the paper's
 //     year-2000 field tests. The WAN testbeds (NTON, ESnet, SciNet), the
@@ -28,8 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync/atomic"
 	"time"
 
 	"visapult/internal/backend"
@@ -56,6 +57,9 @@ const (
 	// TransportStriped gives every PE a striped bundle of TCP connections
 	// (section 3.4's "striped sockets").
 	TransportStriped
+	// TransportNone ships every payload to a discarding sink: the run has no
+	// viewer and measures only the load/render pipeline.
+	TransportNone
 )
 
 // String implements fmt.Stringer.
@@ -65,6 +69,8 @@ func (t Transport) String() string {
 		return "tcp"
 	case TransportStriped:
 		return "striped-tcp"
+	case TransportNone:
+		return "none"
 	default:
 		return "local"
 	}
@@ -113,7 +119,7 @@ type SessionConfig struct {
 	// Viewers, when >= 1, runs the session through the back end's fan-out
 	// stage with that many concurrently attached viewers (the paper's
 	// ImmersaDesk + tiled display exhibit). Zero selects the classic
-	// single-viewer pipeline.
+	// single-viewer pipeline. For RunRemote it is 0 or the address count.
 	Viewers int
 	// ViewerQueue bounds each attached viewer's send queue in (PE, frame)
 	// pairs for fan-out sessions; <= 0 selects backend.DefaultViewerQueue.
@@ -164,200 +170,68 @@ func (r *SessionResult) TrafficRatio() float64 {
 // timestep has been loaded, rendered, transmitted and assembled in the
 // viewer, or until ctx is cancelled — cancellation aborts the back end at the
 // next phase boundary, tears the transport down, and returns ctx's error.
+// The viewers are built in this process: one, or cfg.Viewers behind the
+// fan-out stage; TransportNone builds none.
 func RunSession(ctx context.Context, cfg SessionConfig) (*SessionResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	cfg, err := cfg.validate()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Transport == TransportNone {
+		if cfg.Viewers > 0 {
+			return nil, errors.New("core: a session without a viewer cannot fan out")
+		}
+		return runBackEnd(ctx, cfg, "backend-host", 1, discardEnd)
+	}
+	n := max(cfg.Viewers, 1)
+	return runBackEnd(ctx, cfg, "backend-host", n, func(i int, direct bool, steer func(volume.Axis)) (*viewerEnd, error) {
+		return newInProcessEnd(ctx, cfg, fmt.Sprintf("viewer-%d", i), direct, steer)
+	})
+}
+
+// RunRemote executes the back end of a split-process run: it dials one
+// wire.Link to each viewer process in addrs (ServeViewer on the far side)
+// and ships to them as RunSession ships to in-process viewers. cfg.Viewers
+// is 0 to ship to a single address directly, or len(addrs) to multicast to
+// every address through the fan-out stage. The back end's NetLogger events
+// carry this machine's host name.
+func RunRemote(ctx context.Context, cfg SessionConfig, addrs []string) (*SessionResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cfg, err := cfg.validate()
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case cfg.Transport != TransportTCP && cfg.Transport != TransportStriped:
+		return nil, fmt.Errorf("core: a remote viewer needs a socket transport, got %v", cfg.Transport)
+	case len(addrs) == 0:
+		return nil, errors.New("core: no viewer address")
+	case cfg.Viewers == 0 && len(addrs) > 1, cfg.Viewers > 0 && cfg.Viewers != len(addrs):
+		return nil, fmt.Errorf("core: %d viewer addresses for Viewers = %d", len(addrs), cfg.Viewers)
+	}
+	return runBackEnd(ctx, cfg, netlogger.Hostname("backend-host"), len(addrs), func(i int, _ bool, steer func(volume.Axis)) (*viewerEnd, error) {
+		return dialEnd(ctx, cfg, fmt.Sprintf("viewer-%d:%s", i, addrs[i]), addrs[i], steer)
+	})
+}
+
+// validate checks the settings every run needs and fills in defaults.
+func (cfg SessionConfig) validate() (SessionConfig, error) {
 	if cfg.Source == nil {
-		return nil, errors.New("core: SessionConfig.Source is required")
+		return cfg, errors.New("core: SessionConfig.Source is required")
 	}
 	if cfg.PEs <= 0 {
-		return nil, fmt.Errorf("core: PEs must be positive, got %d", cfg.PEs)
+		return cfg, fmt.Errorf("core: PEs must be positive, got %d", cfg.PEs)
+	}
+	if cfg.Transport < TransportLocal || cfg.Transport > TransportNone {
+		return cfg, fmt.Errorf("core: unknown transport %d", cfg.Transport)
 	}
 	if cfg.StripeLanes <= 0 {
 		cfg.StripeLanes = 2
 	}
-	if cfg.Viewers >= 1 {
-		return runFanoutSession(ctx, cfg)
-	}
-
-	var beLogger, vLogger *netlogger.Logger
-	if cfg.Instrument {
-		beLogger = netlogger.New("backend-host", "backend")
-		vLogger = netlogger.New("viewer-host", "viewer")
-	}
-
-	// The back end is created after the viewer so the axis-hint hook can
-	// reference it; captured through this pointer.
-	var be *backend.BackEnd
-
-	vcfg := viewer.Config{
-		PEs:       cfg.PEs,
-		Timesteps: cfg.Timesteps,
-		Logger:    vLogger,
-	}
-	if cfg.FollowView && cfg.Transport == TransportLocal {
-		vcfg.AxisHint = func(frame int, axis volume.Axis) {
-			if be != nil {
-				be.SetAxis(axis)
-			}
-		}
-	}
-	vw, err := viewer.New(vcfg)
-	if err != nil {
-		return nil, err
-	}
-	vw.SetViewAngle(cfg.ViewAngle)
-
-	// Hints that come back over the link steer the back end once it exists.
-	var hintTarget atomic.Pointer[backend.BackEnd]
-	var onHint func(*wire.AxisHint)
-	if cfg.FollowView {
-		onHint = func(h *wire.AxisHint) {
-			if b := hintTarget.Load(); b != nil {
-				b.SetAxis(h.Axis)
-			}
-		}
-	}
-	tr, err := buildTransport(ctx, cfg, vw, onHint)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.closeAll()
-
-	be, err = backend.New(backend.Config{
-		PEs:           cfg.PEs,
-		Timesteps:     cfg.Timesteps,
-		Mode:          cfg.Mode,
-		Axis:          cfg.Axis,
-		Source:        cfg.Source,
-		TF:            cfg.TF,
-		Sinks:         tr.sinks,
-		Logger:        beLogger,
-		OnFrame:       cfg.OnFrame,
-		OnSlab:        cfg.OnSlab,
-		Cache:         cfg.Cache,
-		CacheDataset:  cfg.CacheDataset,
-		CacheTF:       cfg.CacheTF,
-		RenderWorkers: cfg.RenderWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	hintTarget.Store(be)
-
-	if cfg.RenderLoop {
-		vw.StartRenderLoop(0)
-		defer vw.Stop()
-	}
-
-	start := time.Now()
-	beStats, runErr := be.Run(ctx)
-	// Announce the end of every stream, wait for the viewer's service
-	// goroutines to drain, and only then tear the sockets down.
-	finishErr := tr.finish(0)
-	serveErr := tr.serveWait()
-	closeErr := tr.closeAll()
-	elapsed := time.Since(start)
-	if runErr != nil {
-		return nil, runErr
-	}
-	if serveErr != nil {
-		return nil, serveErr
-	}
-	if finishErr != nil {
-		return nil, finishErr
-	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-
-	res := &SessionResult{
-		Backend: beStats,
-		Viewer:  vw.Stats(),
-		Elapsed: elapsed,
-	}
-	if img, err := vw.CompositeView(); err == nil {
-		res.FinalImage = img
-	}
-	if cfg.Instrument {
-		collector := netlogger.NewCollector()
-		collector.AddLogger(beLogger)
-		collector.AddLogger(vLogger)
-		res.Events = collector.Events()
-	}
-	return res, nil
-}
-
-// transport bundles the per-PE sinks with the functions that drive the
-// teardown sequence: finish announces end-of-stream and waits up to grace for
-// the viewer to close its side, serveWait joins the viewer-side service
-// goroutines, closeAll tears the sockets down.
-type transport struct {
-	sinks     []backend.FrameSink
-	finish    func(grace time.Duration) error
-	serveWait func() error
-	closeAll  func() error
-}
-
-// buildTransport wires the back end's sinks to the viewer according to the
-// configured transport: an in-process sink, or one wire.Link whose viewer
-// side vw serves. onHint receives the axis hints the viewer sends back over
-// the link.
-func buildTransport(ctx context.Context, cfg SessionConfig, vw *viewer.Viewer, onHint func(*wire.AxisHint)) (*transport, error) {
-	switch cfg.Transport {
-	case TransportLocal:
-		noop := func() error { return nil }
-		return &transport{
-			sinks:     []backend.FrameSink{viewer.NewLocalSink(vw)},
-			finish:    func(time.Duration) error { return nil },
-			serveWait: noop,
-			closeAll:  noop,
-		}, nil
-
-	case TransportTCP, TransportStriped:
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("core: listen: %w", err)
-		}
-		lanes := 0
-		if cfg.Transport == TransportStriped {
-			lanes = cfg.StripeLanes
-		}
-		var wrap func(net.Conn) net.Conn
-		if cfg.ViewerShaper != nil {
-			wrap = func(c net.Conn) net.Conn { return netsim.NewShapedConn(c, cfg.ViewerShaper) }
-		}
-		link, viewerConns, err := wire.ConnectLink(ctx, l, cfg.PEs, lanes, wrap, onHint)
-		if err != nil {
-			return nil, fmt.Errorf("core: connecting viewer: %w", err)
-		}
-		served := make(chan struct{})
-		var serveErr error
-		go func() {
-			defer close(served)
-			serveErr = vw.ServeConns(viewerConns...)
-		}()
-		return &transport{
-			sinks:  backend.ConnSinks(link.Conns()),
-			finish: link.Finish,
-			serveWait: func() error {
-				<-served
-				return serveErr
-			},
-			closeAll: func() error {
-				err := link.Close()
-				// The viewer-side halves must be closed too: a striped
-				// connection owns per-lane goroutines that only a Close
-				// releases.
-				for _, c := range viewerConns {
-					c.Close()
-				}
-				return err
-			},
-		}, nil
-
-	default:
-		return nil, fmt.Errorf("core: unknown transport %d", cfg.Transport)
-	}
+	return cfg, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"visapult/internal/backend"
 	"visapult/internal/datagen"
@@ -30,6 +31,27 @@ func TestRunSessionValidation(t *testing.T) {
 	}
 	if _, err := RunSession(context.Background(), SessionConfig{Source: smallSource(1), PEs: 1, Transport: Transport(99)}); err == nil {
 		t.Fatal("expected error for unknown transport")
+	}
+	if _, err := RunSession(context.Background(), SessionConfig{Source: smallSource(1), PEs: 1, Transport: TransportNone, Viewers: 2}); err == nil {
+		t.Fatal("expected error for a viewer-less fan-out")
+	}
+	// Each bad remote shape fails before anything is dialed.
+	tcp := SessionConfig{Source: smallSource(1), PEs: 1, Transport: TransportTCP}
+	local, two := tcp, tcp
+	local.Transport = TransportLocal
+	two.Viewers = 2
+	for _, c := range []struct {
+		cfg   SessionConfig
+		addrs []string
+	}{
+		{tcp, nil},
+		{local, []string{"127.0.0.1:1"}},
+		{tcp, []string{"127.0.0.1:1", "127.0.0.1:2"}},
+		{two, []string{"127.0.0.1:1"}},
+	} {
+		if _, err := RunRemote(context.Background(), c.cfg, c.addrs); err == nil {
+			t.Errorf("RunRemote(%v, Viewers %d, %v): expected an error", c.cfg.Transport, c.cfg.Viewers, c.addrs)
+		}
 	}
 }
 
@@ -107,18 +129,38 @@ func TestRunSessionShapedViewerPath(t *testing.T) {
 	}
 }
 
+// slowSource delays every region load, the way a real data source paces
+// the back end.
+type slowSource struct {
+	backend.DataSource
+	delay time.Duration
+}
+
+func (s slowSource) LoadRegion(ctx context.Context, t int, r volume.Region) (*volume.Volume, int64, error) {
+	time.Sleep(s.delay)
+	return s.DataSource.LoadRegion(ctx, t, r)
+}
+
 func TestRunSessionFollowViewSwitchesAxis(t *testing.T) {
 	// With the camera rotated 90 degrees about Y, the viewer should steer the
-	// back end to an X-axis decomposition after the first completed frame.
-	res, err := RunSession(context.Background(), SessionConfig{
-		PEs: 2, Source: smallSource(4), Transport: TransportLocal,
-		FollowView: true, ViewAngle: math.Pi / 2, Axis: volume.AxisZ,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend.AxisFlips == 0 {
-		t.Error("expected the viewer's axis hint to flip the back-end decomposition")
+	// back end to an X-axis decomposition after the first completed frame. A
+	// local viewer hands the hint over in process; a TCP or striped viewer
+	// sends it back over the link's connections (section 3.3), so it steers
+	// a later frame only if one is still to come when it arrives: the paced
+	// loads leave it three frames of at least 10 ms each.
+	for _, tr := range []Transport{TransportLocal, TransportTCP, TransportStriped} {
+		t.Run(tr.String(), func(t *testing.T) {
+			res, err := RunSession(context.Background(), SessionConfig{
+				PEs: 2, Source: slowSource{smallSource(4), 10 * time.Millisecond}, Transport: tr,
+				FollowView: true, ViewAngle: math.Pi / 2, Axis: volume.AxisZ,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Backend.AxisFlips == 0 {
+				t.Error("expected the viewer's axis hint to flip the back-end decomposition")
+			}
+		})
 	}
 }
 

@@ -3,22 +3,13 @@ package dpss
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Disk models one physical disk attached to a block server. Blocks are kept
-// in memory (the DPSS is a cache, not an archive); an optional service-rate
-// model adds a seek latency plus size/rate delay per access so that
-// disk-level parallelism is observable in throughput experiments.
+// in memory (the DPSS is a cache, not an archive).
 type Disk struct {
 	mu     sync.Mutex
 	blocks map[blockKey][]byte
-
-	// ServiceRate is the sustained transfer rate in bytes per second; zero
-	// disables the delay model (tests and functional examples).
-	ServiceRate float64
-	// SeekTime is the fixed per-access positioning delay.
-	SeekTime time.Duration
 
 	bytesRead    int64
 	bytesWritten int64
@@ -26,18 +17,9 @@ type Disk struct {
 	writes       int64
 }
 
-// NewDisk returns an empty in-memory disk with no delay model.
+// NewDisk returns an empty in-memory disk.
 func NewDisk() *Disk {
 	return &Disk{blocks: make(map[blockKey][]byte)}
-}
-
-// NewDiskWithModel returns a disk whose accesses are paced by the given
-// service rate (bytes/second) and seek time.
-func NewDiskWithModel(serviceRate float64, seek time.Duration) *Disk {
-	d := NewDisk()
-	d.ServiceRate = serviceRate
-	d.SeekTime = seek
-	return d
 }
 
 // blockKey names one stored block. Keying on the pair, not a joined string,
@@ -47,19 +29,8 @@ type blockKey struct {
 	block   int64
 }
 
-// delay sleeps for the modelled access time of a transfer of n bytes.
-func (d *Disk) delay(n int) {
-	if d.SeekTime > 0 {
-		time.Sleep(d.SeekTime)
-	}
-	if d.ServiceRate > 0 && n > 0 {
-		time.Sleep(time.Duration(float64(n) / d.ServiceRate * float64(time.Second)))
-	}
-}
-
 // WriteBlock stores a block (copying the data).
 func (d *Disk) WriteBlock(dataset string, block int64, data []byte) {
-	d.delay(len(data))
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	d.mu.Lock()
@@ -77,7 +48,6 @@ func (d *Disk) ReadBlock(dataset string, block int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s block %d", ErrUnknownBlock, dataset, block)
 	}
-	d.delay(len(data))
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	d.mu.Lock()

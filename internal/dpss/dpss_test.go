@@ -186,16 +186,6 @@ func TestDiskReadWriteEvict(t *testing.T) {
 	}
 }
 
-func TestDiskServiceModelDelays(t *testing.T) {
-	d := NewDiskWithModel(1*stats.MB, 5*time.Millisecond) // 1 MB/s + 5ms seek
-	data := make([]byte, 100<<10)                         // 100 KB -> ~100ms transfer
-	start := time.Now()
-	d.WriteBlock("ds", 0, data)
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Errorf("modelled write returned too quickly: %v", elapsed)
-	}
-}
-
 // --- master ----------------------------------------------------------------
 
 func TestMasterCatalog(t *testing.T) {

@@ -88,11 +88,6 @@ func (m ThroughputModel) AggregateMbps() float64 {
 	return min * eff
 }
 
-// AggregateMBps returns the deliverable throughput in megabytes per second.
-func (m ThroughputModel) AggregateMBps() float64 {
-	return m.AggregateMbps() * stats.Mega / 8 / float64(stats.MB)
-}
-
 // DiskAggregateMBps returns the disk-stage capacity in megabytes per second —
 // what the deployment could deliver to enough parallel clients, independent
 // of any single client's network path. This is the paper's "over 150

@@ -76,9 +76,6 @@ func NewBlockServer(opts ...ServerOption) *BlockServer {
 	return s
 }
 
-// NumDisks returns how many disks the server stripes over.
-func (s *BlockServer) NumDisks() int { return len(s.disks) }
-
 // diskFor returns the disk that stores the given logical block, striping
 // round-robin by block number.
 func (s *BlockServer) diskFor(block int64) *Disk {

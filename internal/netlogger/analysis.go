@@ -158,17 +158,6 @@ func (a *Analysis) PhaseDurations(startTag, endTag string) []time.Duration {
 	return out
 }
 
-// PhaseSeconds returns phase durations as float64 seconds, convenient for
-// stats.Summarize.
-func (a *Analysis) PhaseSeconds(startTag, endTag string) []float64 {
-	phases := a.Phases(startTag, endTag)
-	out := make([]float64, len(phases))
-	for i, p := range phases {
-		out[i] = p.Duration().Seconds()
-	}
-	return out
-}
-
 // PhaseSummary describes one phase type across a whole run.
 type PhaseSummary struct {
 	StartTag string

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -64,6 +65,16 @@ func New(host, prog string, opts ...Option) *Logger {
 		o(l)
 	}
 	return l
+}
+
+// Hostname returns the machine's host name, or def when it cannot be
+// determined: the host a component running in its own process logs under.
+func Hostname(def string) string {
+	h, err := os.Hostname()
+	if err != nil || h == "" {
+		return def
+	}
+	return h
 }
 
 // Host returns the host name stamped on events.

@@ -37,6 +37,13 @@ type HarnessConfig struct {
 	OnFrame func(backend.FrameStats)
 }
 
+// teardownGrace bounds one viewer's teardown: the fan-out's drain of its
+// queue (or a detach's wait for its sender), then its end-of-stream markers
+// and close, all measured from one deadline. Healthy viewers finish in
+// milliseconds; only a stalled one uses it up, and closing its link is what
+// unblocks it.
+const teardownGrace = 2 * time.Second
+
 // Harness is one configured pipeline: a back end publishing through a
 // fan-out, plus any number of TCP-attached viewers.
 type Harness struct {
@@ -208,10 +215,8 @@ func (h *Harness) Run(ctx context.Context) (backend.RunStats, error) {
 		return backend.RunStats{}, err
 	}
 	stats, runErr := be.Run(ctx)
-	// Short grace: healthy queues drain in milliseconds; only a sender
-	// wedged on a stalled viewer exhausts it, and the teardown below
-	// unblocks that one by failing its connections.
-	h.fan.Close(2 * time.Second)
+	deadline := time.Now().Add(teardownGrace)
+	h.fan.Close(time.Until(deadline))
 
 	h.mu.Lock()
 	viewers := append([]*HarnessViewer(nil), h.viewers...)
@@ -221,7 +226,7 @@ func (h *Harness) Run(ctx context.Context) (backend.RunStats, error) {
 		wg.Add(1)
 		go func(hv *HarnessViewer) {
 			defer wg.Done()
-			hv.teardown()
+			hv.teardown(deadline)
 		}(hv)
 	}
 	wg.Wait()
@@ -280,18 +285,20 @@ func (hv *HarnessViewer) Stall() { hv.gate.stall() }
 // Detach removes the viewer from the fan-out mid-run and tears its
 // transport down; its delivery record remains in the fan-out's snapshot.
 func (hv *HarnessViewer) Detach() error {
+	deadline := time.Now().Add(teardownGrace)
 	if err := hv.harness.fan.Detach(hv.ID); err != nil {
 		return err
 	}
-	hv.teardown()
+	hv.teardown(deadline)
 	return nil
 }
 
 // teardown ends the viewer's streams: done markers and the viewer's close
-// (bounded — a stalled connection cannot take a marker), then the link
-// closed, which kills the gate and fails the sockets so anything still
-// blocked unwinds, then the service goroutines joined.
-func (hv *HarnessViewer) teardown() {
+// within what is left before deadline (nothing left: skipped — a stalled
+// connection cannot take a marker anyway), then the link closed, which kills
+// the gate and fails the sockets so anything still blocked unwinds, then the
+// service goroutines joined.
+func (hv *HarnessViewer) teardown(deadline time.Time) {
 	hv.mu.Lock()
 	if hv.torn {
 		hv.mu.Unlock()
@@ -300,7 +307,9 @@ func (hv *HarnessViewer) teardown() {
 	hv.torn = true
 	hv.mu.Unlock()
 
-	_ = hv.link.Finish(2 * time.Second) // a stalled viewer misses it; the serve error says why
+	if grace := time.Until(deadline); grace > 0 {
+		_ = hv.link.Finish(grace) // a stalled viewer misses it; the serve error says why
+	}
 	hv.link.Close()
 	select {
 	case <-hv.serveDone:

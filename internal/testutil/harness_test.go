@@ -124,6 +124,53 @@ func TestStalledViewerDoesNotBlockRenderLoopOrOthers(t *testing.T) {
 	}
 }
 
+// TestStalledViewerTeardownSpendsOneGrace: a stalled viewer's teardown pays
+// one grace in all, not the fan-out's drain and then the end-of-stream wait
+// in series — both for Run's teardown and for a mid-run Detach.
+func TestStalledViewerTeardownSpendsOneGrace(t *testing.T) {
+	const pes, limit = 2, teardownGrace * 3 / 2
+	t.Run("Run", func(t *testing.T) {
+		h := NewHarness(t, HarnessConfig{PEs: pes, Timesteps: 3, Queue: 2})
+		h.AttachViewer("desk")
+		h.AttachStalledViewer("dead")
+		start := time.Now()
+		if _, err := h.Run(context.Background()); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > limit {
+			t.Errorf("Run with a stalled viewer took %v, want under %v", elapsed, limit)
+		}
+	})
+	t.Run("Detach", func(t *testing.T) {
+		var framesDone atomic.Int32
+		h := NewHarness(t, HarnessConfig{
+			PEs: pes, Timesteps: 8, Queue: 2,
+			FrameDelay: 20 * time.Millisecond,
+			OnFrame:    func(backend.FrameStats) { framesDone.Add(1) },
+		})
+		h.AttachViewer("stay")
+		dead := h.AttachStalledViewer("dead")
+		done := make(chan error, 1)
+		go func() {
+			_, err := h.Run(context.Background())
+			done <- err
+		}()
+		for framesDone.Load() < 2*pes {
+			time.Sleep(2 * time.Millisecond)
+		}
+		start := time.Now()
+		if err := dead.Detach(); err != nil {
+			t.Fatalf("Detach: %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > limit {
+			t.Errorf("detaching a stalled viewer took %v, want under %v", elapsed, limit)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
+}
+
 // TestLateAttachStartsAtNextFrameBoundary: a viewer attached while the run
 // is in flight receives a clean suffix of the frame sequence — every frame
 // it assembles is complete (all PEs), and nothing before its start frame is

@@ -544,7 +544,10 @@ type StripeListener struct {
 	mu      sync.Mutex
 	partial map[uint64][]laneConn
 	ready   chan []laneConn
-	errCh   chan error
+	// failed is closed once the accept loop has stopped; err (written
+	// before the close) is what every later Accept returns.
+	failed  chan struct{}
+	err     error
 	started bool
 	closed  bool
 }
@@ -566,7 +569,7 @@ func NewStripeListener(l net.Listener, chunkSize int) *StripeListener {
 		chunkSize: chunkSize,
 		partial:   make(map[uint64][]laneConn),
 		ready:     make(chan []laneConn, 8),
-		errCh:     make(chan error, 1),
+		failed:    make(chan struct{}),
 	}
 }
 
@@ -578,7 +581,8 @@ func (sl *StripeListener) acceptLoop() {
 	for {
 		c, err := sl.l.Accept()
 		if err != nil {
-			sl.errCh <- err
+			sl.err = err
+			close(sl.failed)
 			return
 		}
 		go sl.handshake(c)
@@ -620,7 +624,8 @@ func (sl *StripeListener) handshake(c net.Conn) {
 	}
 }
 
-// Accept returns the next fully assembled Stripe.
+// Accept returns the next fully assembled Stripe. Once the underlying
+// listener has failed (or been closed), every call returns its error.
 func (sl *StripeListener) Accept() (*Stripe, error) {
 	sl.mu.Lock()
 	if !sl.started {
@@ -635,8 +640,8 @@ func (sl *StripeListener) Accept() (*Stripe, error) {
 			conns[i] = lc.conn
 		}
 		return NewStripe(conns, sl.chunkSize)
-	case err := <-sl.errCh:
-		return nil, err
+	case <-sl.failed:
+		return nil, sl.err
 	}
 }
 

@@ -55,6 +55,32 @@ func settleGoroutines(t *testing.T, before int) {
 	t.Errorf("goroutines leaked: %d before, %d after\n%s", before, after, buf[:runtime.Stack(buf, true)])
 }
 
+// Once the listener has failed, every Accept returns the error: a second
+// call must not block on an accept loop that has already stopped.
+func TestStripeListenerAcceptErrorIsSticky(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	sl := NewStripeListener(l, 0)
+	sl.Close()
+	for i := range 2 {
+		done := make(chan error, 1)
+		go func() {
+			_, err := sl.Accept()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("Accept %d on a closed listener returned no error", i+1)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("Accept %d on a closed listener still blocked after 1s", i+1)
+		}
+	}
+}
+
 // A Write wedged behind a peer that never reads must not take Close down
 // with it: Close tears the sockets, the Write fails, every goroutine exits.
 func TestStripeCloseAbortsWedgedWrite(t *testing.T) {

@@ -171,6 +171,9 @@ func (c *config) sessionConfig() core.SessionConfig {
 		CacheDataset:  c.cacheDataset,
 		CacheTF:       c.cacheTF,
 	}
+	if c.discardViewer {
+		sc.Transport = core.TransportNone
+	}
 	if c.viewers >= 1 {
 		sc.OnFanout = c.onFanout
 	}
@@ -265,6 +268,9 @@ func WithRenderLoop() Option {
 
 // WithoutViewer replaces the viewer with a discarding sink so the run
 // measures only the load/render pipeline. Requires the local transport.
+// Every back-end option still applies: WithInstrumentation (Result.Events
+// carries the back end's events), WithRenderWorkers, WithFrameHook and the
+// frame cache are honoured as in a run with a viewer.
 func WithoutViewer() Option {
 	return func(c *config) { c.discardViewer = true }
 }

@@ -3,14 +3,11 @@ package visapult
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"visapult/internal/backend"
+	"visapult/internal/core"
 	"visapult/internal/netlogger"
 	"visapult/internal/viewer"
 	"visapult/internal/wire"
@@ -19,8 +16,10 @@ import (
 // The split-process deployment of the paper's field tests: the back end runs
 // near the data (RunBackend) and streams slab textures to a viewer on the
 // desktop (ServeViewer) over one wire.Link per viewer — a TCP connection per
-// PE, which also carries the viewer's axis hints back. The in-process
-// equivalent is Pipeline with TransportTCP, which builds the same link.
+// PE, which also carries the viewer's axis hints back. RunBackend only maps
+// its configuration onto core.RunRemote, which builds, runs and tears down
+// the back end in the same assembly as an in-process Pipeline (whose
+// TransportTCP builds the same link).
 
 // BackendConfig describes a standalone back-end process.
 type BackendConfig struct {
@@ -67,11 +66,6 @@ type BackendReport struct {
 	Viewers []ViewerDelivery
 }
 
-// linkGrace bounds a split-process teardown: the fan-out's queue flush, then
-// the end-of-stream markers and the viewers' close. A viewer that needs
-// longer is abandoned by closing its link.
-const linkGrace = 5 * time.Second
-
 // RunBackend dials one wire.Link (a connection per PE) to every viewer,
 // executes the back end, and announces end-of-stream. A single ViewerAddr
 // takes the link's connections as the back end's sinks, so it is lossless
@@ -80,14 +74,23 @@ const linkGrace = 5 * time.Second
 // which unblocks a PE stuck mid-write against a stalled viewer, and aborts
 // the run at the next phase boundary.
 func RunBackend(ctx context.Context, cfg BackendConfig) (*BackendReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if cfg.Source == nil {
 		return nil, errors.New("visapult: BackendConfig.Source is required")
 	}
 	if cfg.PEs <= 0 {
 		cfg.PEs = 4
+	}
+	sc := core.SessionConfig{
+		PEs:           cfg.PEs,
+		Timesteps:     cfg.Timesteps,
+		Mode:          cfg.Mode,
+		Source:        cfg.Source,
+		Transport:     core.TransportTCP,
+		FollowView:    cfg.FollowView,
+		Instrument:    cfg.Instrument,
+		Viewers:       len(cfg.ViewerAddrs),
+		ViewerQueue:   cfg.ViewerQueue,
+		RenderWorkers: cfg.RenderWorkers,
 	}
 	addrs := cfg.ViewerAddrs
 	if len(addrs) == 0 {
@@ -96,101 +99,13 @@ func RunBackend(ctx context.Context, cfg BackendConfig) (*BackendReport, error) 
 		}
 		addrs = []string{cfg.ViewerAddr}
 	}
-
-	var fan *backend.Fanout
-	if len(cfg.ViewerAddrs) > 0 {
-		var err error
-		if fan, err = backend.NewFanout(cfg.PEs, cfg.ViewerQueue); err != nil {
-			return nil, err
-		}
-		// Deferred before the links close, so it runs after: a sender still
-		// parked on its queue (a setup failure) or wedged on a stalled
-		// viewer ends once its link is gone.
-		defer fan.Close(linkGrace)
-	}
-
-	// The first viewer's axis hints steer the decomposition when FollowView
-	// is set (section 3.3); every link drains its hints either way.
-	var hintTarget atomic.Pointer[backend.BackEnd]
-	links := make([]*wire.Link, 0, len(addrs))
-	closeLinks := func() {
-		for _, l := range links {
-			l.Close()
-		}
-	}
-	for i, addr := range addrs {
-		var onHint func(*wire.AxisHint)
-		if cfg.FollowView && i == 0 {
-			onHint = func(h *wire.AxisHint) {
-				if be := hintTarget.Load(); be != nil {
-					be.SetAxis(h.Axis)
-				}
-			}
-		}
-		link, err := wire.DialLink(ctx, addr, cfg.PEs, 0, nil, onHint)
-		if err != nil {
-			closeLinks()
-			return nil, fmt.Errorf("visapult: connecting to viewer %s: %w", addr, err)
-		}
-		links = append(links, link)
-	}
-	defer closeLinks()
-	defer context.AfterFunc(ctx, closeLinks)()
-
-	var sinks []backend.FrameSink
-	if fan == nil {
-		sinks = backend.ConnSinks(links[0].Conns())
-	} else {
-		for i, l := range links {
-			if err := fan.Attach(fmt.Sprintf("viewer-%d:%s", i, addrs[i]), backend.ConnSinks(l.Conns())); err != nil {
-				return nil, err
-			}
-		}
-		sinks = fan.Sinks()
-	}
-
-	var logger *netlogger.Logger
-	if cfg.Instrument {
-		logger = netlogger.New(hostname("backend-host"), "backend")
-	}
-	be, err := backend.New(backend.Config{
-		PEs: cfg.PEs, Timesteps: cfg.Timesteps, Mode: cfg.Mode,
-		Source: cfg.Source, Sinks: sinks, Logger: logger,
-		RenderWorkers: cfg.RenderWorkers,
-	})
+	sr, err := core.RunRemote(ctx, sc, addrs)
 	if err != nil {
 		return nil, err
 	}
-	hintTarget.Store(be)
-
-	stats, err := be.Run(ctx)
-	if fan != nil {
-		fan.Close(linkGrace)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// End every viewer's streams together. A viewer that misses the grace
-	// (stalled, or gone) loses nothing the run still owes it: its frames
-	// were delivered or, past its queue, dropped and counted.
-	var wg sync.WaitGroup
-	for _, l := range links {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = l.Finish(linkGrace)
-		}()
-	}
-	wg.Wait()
-
-	rep := &BackendReport{Stats: stats}
-	if fan != nil {
-		rep.Viewers = fan.Viewers()
-	}
-	if logger != nil {
-		col := netlogger.NewCollector()
-		col.AddLogger(logger)
-		rep.Events = col.Events()
+	rep := &BackendReport{Stats: sr.Backend, Events: sr.Events}
+	for _, v := range sr.Viewers {
+		rep.Viewers = append(rep.Viewers, v.Delivery)
 	}
 	return rep, nil
 }
@@ -238,7 +153,7 @@ func ServeViewer(ctx context.Context, cfg ViewerConfig) (*ViewerReport, error) {
 
 	var logger *netlogger.Logger
 	if cfg.Instrument {
-		logger = netlogger.New(hostname("viewer-host"), "viewer")
+		logger = netlogger.New(netlogger.Hostname("viewer-host"), "viewer")
 	}
 	vw, err := viewer.New(viewer.Config{
 		PEs: cfg.PEs, Logger: logger,
@@ -291,15 +206,6 @@ func ServeViewer(ctx context.Context, cfg ViewerConfig) (*ViewerReport, error) {
 		rep.Events = col.Events()
 	}
 	return rep, nil
-}
-
-// hostname returns the OS hostname, falling back to def.
-func hostname(def string) string {
-	h, err := os.Hostname()
-	if err != nil || h == "" {
-		return def
-	}
-	return h
 }
 
 // WriteULM serializes events as a ULM log to a file, the format netlogd and

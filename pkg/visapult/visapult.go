@@ -39,7 +39,6 @@ import (
 	"context"
 	"time"
 
-	"visapult/internal/backend"
 	"visapult/internal/core"
 )
 
@@ -80,9 +79,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 	}
 	defer cleanup()
 	cfg.source = src
-	if cfg.discardViewer {
-		return runBackendOnly(ctx, &cfg)
-	}
 	sr, err := core.RunSession(ctx, cfg.sessionConfig())
 	if err != nil {
 		return nil, err
@@ -95,31 +91,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
 		Elapsed:    sr.Elapsed,
 		FinalImage: sr.FinalImage,
 	}, nil
-}
-
-// runBackendOnly executes the back end against a discarding sink — the
-// configuration benchmarks use to measure the load/render pipeline without a
-// viewer.
-func runBackendOnly(ctx context.Context, cfg *config) (*Result, error) {
-	be, err := backend.New(backend.Config{
-		PEs:       cfg.pes,
-		Timesteps: cfg.timesteps,
-		Mode:      cfg.mode,
-		Axis:      cfg.axis,
-		Source:    cfg.source,
-		TF:        cfg.tf,
-		Sinks:     []backend.FrameSink{&backend.NullSink{}},
-		OnFrame:   cfg.onFrame,
-	})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	stats, err := be.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Backend: stats, Elapsed: time.Since(start)}, nil
 }
 
 // Result reports what a pipeline run did.

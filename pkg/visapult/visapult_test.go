@@ -177,6 +177,26 @@ func TestWithoutViewer(t *testing.T) {
 	}
 }
 
+// TestWithoutViewerHonoursInstrumentation: a viewer-less run goes through the
+// same back-end assembly as any other, so WithInstrumentation still yields the
+// back end's NetLogger events.
+func TestWithoutViewerHonoursInstrumentation(t *testing.T) {
+	p, err := New(WithSource(smallSource(2)), WithPEs(2), WithoutViewer(), WithInstrumentation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Events) == 0 {
+		t.Error("instrumented viewer-less run returned no events")
+	}
+	if res.FinalImage != nil {
+		t.Error("viewer-less run returned a final image")
+	}
+}
+
 // TestFrameHook checks the per-frame callback sees every (PE, timestep).
 func TestFrameHook(t *testing.T) {
 	var frames atomic.Int64
